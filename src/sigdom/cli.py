@@ -23,9 +23,8 @@ from .constructions import (
     upper_bound,
 )
 from .domination import Budget, InfeasibleError, is_signed_dds, min_signed_dds
-from .families import InvalidParametersError, igraph, k4_union, petersen
+from .families import InvalidParametersError, family_cases, k4_union
 from .fileio import (
-    EdgeListFormatError,
     FamilyInfo,
     format_vertex_set,
     parse_vertex_spec,
@@ -87,6 +86,10 @@ def _load(path: str) -> str:
     return Path(path).read_text()
 
 
+def _cycle_text(cycle: tuple[int, ...], family: FamilyInfo | None) -> str:
+    return ",".join(format_vertex_set(frozenset([v]), family) for v in cycle)
+
+
 def _family_args(args) -> tuple[int, int, int]:
     arity = {"P": 2, "I": 3}[args.family]
     if len(args.params) != arity:
@@ -107,8 +110,7 @@ def cmd_gen(args) -> int:
             raise InvalidParametersError("family K4U expects one parameter")
         graph = k4_union(args.params[0])
     else:
-        n, j, k = _family_args(args)
-        graph = (petersen(n, k) if j == 1 else igraph(n, j, k)).graph
+        graph = build_family(*_family_args(args)).graph
     family = FamilyInfo(args.family, tuple(args.params))
     text = write_edge_list(graph, family)
     _write_out(args, text)
@@ -166,9 +168,7 @@ def cmd_verify(args) -> int:
                 f"failure: coverage vertex={where} multiplicity={verdict.failure_multiplicity}",
             )
         else:
-            cyc = ",".join(
-                format_vertex_set(frozenset([v]), family) for v in verdict.witness_cycle
-            )
+            cyc = _cycle_text(verdict.witness_cycle, family)
             _say(args, f"failure: unbalanced_cut cycle={cyc}")
     _finish(args, {args.signed: _digest(text)}, None, verdict.to_dict(), started)
     return EXIT_OK if verdict.ok else EXIT_FAIL
@@ -186,10 +186,7 @@ def cmd_balance(args) -> int:
         _say(args, f"marking: {marking}")
         results["marking"] = marking
     else:
-        cyc = ",".join(
-            format_vertex_set(frozenset([v]), family) for v in cert.witness_cycle
-        )
-        _say(args, f"negative_cycle: {cyc}")
+        _say(args, f"negative_cycle: {_cycle_text(cert.witness_cycle, family)}")
         results["witness_cycle"] = list(cert.witness_cycle)
     _finish(args, {args.signed: _digest(text)}, None, results, started)
     return EXIT_OK if cert.balanced else EXIT_FAIL
@@ -228,10 +225,7 @@ def cmd_decompose_cut(args) -> int:
         _finish(args, {args.graph: _digest(text)}, None, results, started)
         return EXIT_FAIL
     for cyc in decomposition.cycles:
-        _say(
-            args,
-            "cycle: " + ",".join(format_vertex_set(frozenset([v]), family) for v in cyc),
-        )
+        _say(args, f"cycle: {_cycle_text(cyc, family)}")
     results["cycles"] = [list(c) for c in decomposition.cycles]
     _finish(args, {args.graph: _digest(text)}, None, results, started)
     return EXIT_OK
@@ -239,6 +233,8 @@ def cmd_decompose_cut(args) -> int:
 
 def cmd_construct(args) -> int:
     started = time.perf_counter()
+    if args.signatures < 1:
+        raise InvalidParametersError(f"--signatures must be >= 1, got {args.signatures}")
     n, j, k = _family_args(args)
     family = FamilyInfo(args.family, tuple(args.params))
     fg = build_family(n, j, k)
@@ -325,16 +321,10 @@ def _sweep_rows(args) -> list[tuple[int, int, int]]:
     js = _parse_range(args.j)
     rows = []
     if args.family in ("P", "all"):
-        for n in ns:
-            for k in ks:
-                if k >= 1 and 2 * k < n:
-                    rows.append((n, 1, k))
+        rows += family_cases(ns, (1,), ks)
     if args.family in ("I", "all"):
-        for n in ns:
-            for j in js:
-                for k in ks:
-                    if 2 <= j <= k and 2 * j < n and 2 * k < n:
-                        rows.append((n, j, k))
+        # j = 1 would repeat the P(n, k) rows
+        rows += family_cases(ns, range(max(js.start, 2), js.stop), ks)
     return rows
 
 
@@ -369,7 +359,9 @@ def cmd_sweep(args) -> int:
         solver_value: int | str = ""
         sandwich: bool | str = ""
         if fg.graph.n <= args.solver_cap:
-            solved = min_signed_dds(random_signature(fg.graph, seed + idx, 0.5))
+            solved = min_signed_dds(
+                random_signature(fg.graph, seed + idx, 0.5), max_vertices=args.solver_cap
+            )
             solver_value = solved.value
             sandwich = lower <= solved.value <= result.claimed_size
             all_ok = all_ok and sandwich
@@ -388,10 +380,7 @@ def cmd_sweep(args) -> int:
         ]
         writer.writerow(row)
         rows.append(row)
-    if args.output:
-        Path(args.output).write_text(buf.getvalue())
-    elif not args.json:
-        sys.stdout.write(buf.getvalue())
+    _write_out(args, buf.getvalue())
     _finish(args, {}, seed, {"rows": rows, "all_sandwich_ok": all_ok}, started)
     return EXIT_OK if all_ok else EXIT_FAIL
 
@@ -470,10 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EdgeListFormatError, InvalidParametersError, SizeLimitExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, SizeLimitExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

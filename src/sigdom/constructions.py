@@ -13,11 +13,12 @@ from math import gcd
 from typing import Iterator
 
 from .families import (
-    FamilyGraph,
     InvalidParametersError,
+    family_cases,
     igraph,
     inner_blocks,
     petersen,
+    validate_params,
 )
 from .signed import SignedGraph, all_positive
 
@@ -123,10 +124,7 @@ def construct_igraph(n: int, j: int, k: int) -> ConstructionResult:
     cut cycle would have to live on the inner rim, where two adjacent
     unselected vertices always break it.
     """
-    if j < 1 or j > k or 2 * j >= n or 2 * k >= n:
-        raise InvalidParametersError(
-            f"I(n,j,k) needs 1 <= j <= k, 2j < n, 2k < n, got n={n} j={j} k={k}"
-        )
+    validate_params(n, j, k)
     if gcd(n, k) == 1:
         if k < 2:
             raise InvalidParametersError(
@@ -149,15 +147,7 @@ class BoundReport:
 
 def upper_bound(n: int, j: int, k: int) -> BoundReport:
     """Closed-form bound on the signed double domination number of I(n, j, k)."""
-    if j == 1:
-        if k < 1 or 2 * k >= n:
-            raise InvalidParametersError(
-                f"P(n,k) needs 1 <= k and 2k < n, got n={n} k={k}"
-            )
-    elif j < 1 or j > k or 2 * j >= n or 2 * k >= n:
-        raise InvalidParametersError(
-            f"I(n,j,k) needs 1 <= j <= k, 2j < n, 2k < n, got n={n} j={j} k={k}"
-        )
+    validate_params(n, j, k)
     if k == 1:
         return BoundReport(2 * (n // 2 + 1))
     d = gcd(n, k)
@@ -169,34 +159,28 @@ def upper_bound(n: int, j: int, k: int) -> BoundReport:
     return BoundReport(n + d * -(-n // (3 * d)))
 
 
-def build_family(n: int, j: int, k: int) -> FamilyGraph:
-    return petersen(n, k) if j == 1 else igraph(n, j, k)
+build_family = igraph  # P(n, k) is I(n, 1, k)
 
 
 def construct_family(n: int, j: int, k: int) -> ConstructionResult:
     """Dispatch to the construction matching (n, j, k)."""
-    if j == 1 and k == 1:
+    validate_params(n, j, k)
+    if j != 1:
+        return construct_igraph(n, j, k)
+    if k == 1:
         return construct_pn1(n)
-    if j == 1:
-        if k < 1 or 2 * k >= n:
-            raise InvalidParametersError(
-                f"P(n,k) needs 1 <= k and 2k < n, got n={n} k={k}"
-            )
-        return construct_gcd1(n, k) if gcd(n, k) == 1 else construct_gcd_d(n, k)
-    return construct_igraph(n, j, k)
+    return construct_gcd1(n, k) if gcd(n, k) == 1 else construct_gcd_d(n, k)
 
 
 def sweep_cases(
     max_n: int, petersen_k_max: int = 6, igraph_k_max: int = 5
 ) -> Iterator[tuple[int, int, int]]:
-    """All valid (n, j, k) family parameters up to max_n, deterministic order."""
-    for n in range(3, max_n + 1):
-        yield (n, 1, 1)
-        for k in range(2, petersen_k_max + 1):
-            if 2 * k < n:
-                yield (n, 1, k)
-    for n in range(5, max_n + 1):
-        for j in range(2, igraph_k_max + 1):
-            for k in range(j, igraph_k_max + 1):
-                if 2 * k < n:
-                    yield (n, j, k)
+    """All valid (n, j, k) family parameters up to max_n, deterministic order.
+
+    Every P(n, k) with k <= petersen_k_max (P(n, 1) always) comes first, then
+    every I(n, j, k) with 2 <= j <= k <= igraph_k_max.
+    """
+    ns = range(3, max_n + 1)
+    yield from family_cases(ns, (1,), range(1, max(petersen_k_max, 1) + 1))
+    steps = range(2, igraph_k_max + 1)
+    yield from family_cases(ns, steps, steps)

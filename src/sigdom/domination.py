@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .graph import (
@@ -296,6 +297,46 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _solve(
+    graph: Graph,
+    acceptors: Sequence[Callable[[int], bool]],
+    k: int,
+    budget: Budget | None,
+    max_vertices: int,
+) -> list[SolveResult]:
+    """The one cardinality-ascending driver behind every exact solver.
+
+    Coverage does not depend on the acceptance test, so one subset search
+    is shared: each coverage-passing mask is offered to every acceptor that
+    has not yet accepted one, in index order.  An acceptor's answer is the
+    first mask it accepts, which is the lexicographically smallest at the
+    smallest feasible size; its `nodes_explored` is the shared counter at
+    that moment, which equals the count of a search run for it alone.
+    """
+    search = _prepare(graph, k, budget, max_vertices)
+    if graph.n == 0:
+        return [SolveResult(0, frozenset(), 0, False)] * len(acceptors)
+    results: list[SolveResult | None] = [None] * len(acceptors)
+    unresolved = set(range(len(acceptors)))
+
+    def emit(mask: int) -> bool:
+        for idx in sorted(unresolved):
+            if acceptors[idx](mask):
+                results[idx] = SolveResult(size, _mask_to_set(mask), search.nodes, False)
+                unresolved.discard(idx)
+        return not unresolved
+
+    try:
+        for size in range(_coverage_lower_bound(graph, k), graph.n + 1):
+            if not unresolved or search.run(size, emit):
+                break
+    except _OutOfBudget:
+        pass
+    for idx in unresolved:
+        results[idx] = SolveResult(None, None, search.nodes, True)
+    return results  # type: ignore[return-value]
+
+
 def min_k_tuple_dominating(
     graph: Graph,
     k: int = 2,
@@ -308,22 +349,7 @@ def min_k_tuple_dominating(
     graphs with k=2 is the half-order bound |V|/2.  The witness is the
     lexicographically smallest minimum set.
     """
-    search = _prepare(graph, k, budget, max_vertices)
-    if graph.n == 0:
-        return SolveResult(0, frozenset(), 0, False)
-    hit: list[int] = []
-
-    def emit(mask: int) -> bool:
-        hit.append(mask)
-        return True
-
-    try:
-        for size in range(_coverage_lower_bound(graph, k), graph.n + 1):
-            if search.run(size, emit):
-                return SolveResult(size, _mask_to_set(hit[0]), search.nodes, False)
-    except _OutOfBudget:
-        return SolveResult(None, None, search.nodes, True)
-    raise AssertionError("unreachable: D = V passes after the feasibility check")
+    return _solve(graph, [lambda mask: True], k, budget, max_vertices)[0]
 
 
 def _edge_data(s: SignedGraph) -> list[tuple[int, int, int, int, int]]:
@@ -370,26 +396,7 @@ def min_signed_dds(
     is the lexicographically smallest minimum set.  `nodes_explored` counts
     subset-search nodes (balance checks are not counted).
     """
-    graph = s.graph
-    search = _prepare(graph, k, budget, max_vertices)
-    if graph.n == 0:
-        return SolveResult(0, frozenset(), 0, False)
-    edata = _edge_data(s)
-    hit: list[int] = []
-
-    def emit(mask: int) -> bool:
-        if _cut_balanced(graph.n, edata, mask):
-            hit.append(mask)
-            return True
-        return False
-
-    try:
-        for size in range(_coverage_lower_bound(graph, k), graph.n + 1):
-            if search.run(size, emit):
-                return SolveResult(size, _mask_to_set(hit[0]), search.nodes, False)
-    except _OutOfBudget:
-        return SolveResult(None, None, search.nodes, True)
-    raise AssertionError("unreachable: D = V has an empty, balanced cut")
+    return min_signed_dds_many(s.graph, [s], k, budget, max_vertices)[0]
 
 
 def min_signed_dds_many(
@@ -409,31 +416,5 @@ def min_signed_dds_many(
     for s in signatures:
         if s.graph != graph:
             raise UnderlyingGraphMismatchError("all signatures must live on the given graph")
-    search = _prepare(graph, k, budget, max_vertices)
-    results: list[SolveResult | None] = [None] * len(signatures)
-    if graph.n == 0:
-        return [SolveResult(0, frozenset(), 0, False)] * len(signatures)
-    edatas = [_edge_data(s) for s in signatures]
-    unresolved = set(range(len(signatures)))
-    try:
-        for size in range(_coverage_lower_bound(graph, k), graph.n + 1):
-            if not unresolved:
-                break
-
-            def emit(mask: int, size: int = size) -> bool:
-                for idx in sorted(unresolved):
-                    if _cut_balanced(graph.n, edatas[idx], mask):
-                        results[idx] = SolveResult(
-                            size, _mask_to_set(mask), search.nodes, False
-                        )
-                        unresolved.discard(idx)
-                return not unresolved
-
-            if search.run(size, emit):
-                break
-    except _OutOfBudget:
-        pass
-    for idx in unresolved:
-        results[idx] = SolveResult(None, None, search.nodes, True)
-    assert all(r is not None for r in results)
-    return results  # type: ignore[return-value]
+    acceptors = [partial(_cut_balanced, graph.n, _edge_data(s)) for s in signatures]
+    return _solve(graph, acceptors, k, budget, max_vertices)

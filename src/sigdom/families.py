@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator, Sequence
 
 from .graph import Graph
 
@@ -62,6 +63,36 @@ def index_to_label(index: int, n: int) -> str:
     return f"u{index}" if index < n else f"v{index - n}"
 
 
+def _valid(n: int, j: int, k: int) -> bool:
+    # 2j < n follows from j <= k and 2k < n
+    return 1 <= j <= k and 2 * k < n
+
+
+def validate_params(n: int, j: int, k: int) -> None:
+    """Raise InvalidParametersError unless (n, j, k) names a family graph.
+
+    I(n, j, k) needs 1 <= j <= k, 2j < n and 2k < n; P(n, k) is I(n, 1, k).
+    """
+    if _valid(n, j, k):
+        return
+    if j == 1:
+        raise InvalidParametersError(f"P(n,k) needs 1 <= k and 2k < n, got n={n} k={k}")
+    raise InvalidParametersError(
+        f"I(n,j,k) needs 1 <= j <= k, 2j < n, 2k < n, got n={n} j={j} k={k}"
+    )
+
+
+def family_cases(
+    ns: Sequence[int], js: Sequence[int], ks: Sequence[int]
+) -> Iterator[tuple[int, int, int]]:
+    """Every valid (n, j, k) with n in ns, j in js and k in ks, n outermost."""
+    for n in ns:
+        for j in js:
+            for k in ks:
+                if _valid(n, j, k):
+                    yield (n, j, k)
+
+
 def _rim_cycles(n: int, step: int, offset: int) -> tuple[tuple[int, ...], ...]:
     d = gcd(n, step)
     return tuple(
@@ -75,12 +106,7 @@ def igraph(n: int, j: int, k: int) -> FamilyGraph:
     Requires 1 <= j <= k, 2j < n, and 2k < n so that the rims are simple
     cycles and the graph is cubic on 2n vertices.
     """
-    if j < 1 or j > k:
-        raise InvalidParametersError(f"I(n,j,k) needs 1 <= j <= k, got j={j} k={k}")
-    if 2 * j >= n or 2 * k >= n:
-        raise InvalidParametersError(
-            f"I(n,j,k) needs 2j < n and 2k < n, got n={n} j={j} k={k}"
-        )
+    validate_params(n, j, k)
     edges: list[tuple[int, int]] = []
     for i in range(n):
         edges.append((i, (i + j) % n))
@@ -99,8 +125,6 @@ def igraph(n: int, j: int, k: int) -> FamilyGraph:
 
 def petersen(n: int, k: int) -> FamilyGraph:
     """P(n, k) = I(n, 1, k): one outer n-cycle, inner rim at step k."""
-    if k < 1 or 2 * k >= n:
-        raise InvalidParametersError(f"P(n,k) needs 1 <= k and 2k < n, got n={n} k={k}")
     return igraph(n, 1, k)
 
 

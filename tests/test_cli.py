@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from sigdom import Graph, read_edge_list, read_signed_edge_list
-from sigdom.cli import main
+from sigdom import Graph, read_edge_list, read_signed_edge_list, sweep_cases
+from sigdom.cli import _sweep_rows, build_parser, main
 
 
 def run(capsys, *argv):
@@ -203,6 +203,14 @@ def test_construct_rejects_tight_on_odd(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_construct_rejects_nonpositive_signature_count(capsys, count):
+    code, out, err = run(capsys, "construct", "P", "17", "2", "--signatures", count)
+    assert code == 2
+    assert "error:" in err
+    assert "self_check" not in out
+
+
 # ------------------------------------------------------------------ solve
 
 
@@ -300,6 +308,25 @@ def test_sweep_includes_igraphs(capsys):
     )
     assert code == 0
     assert any(line.startswith("I,") for line in out.splitlines())
+
+
+def test_sweep_solver_cap_is_the_solver_vertex_cap(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--family", "P", "--n", "13..13", "--k", "2..2",
+        "--solver-cap", "30",
+    )
+    assert code == 0
+    header, row = [l for l in out.splitlines() if "," in l]
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert rec["solver_value"] == "15"
+
+
+@pytest.mark.parametrize("max_n,k_max", [(3, 1), (12, 4), (20, 6)])
+def test_sweep_rows_match_sweep_cases(max_n, k_max):
+    args = build_parser().parse_args(
+        ["sweep", "--n", f"3..{max_n}", "--k", f"1..{k_max}", "--j", f"2..{k_max}"]
+    )
+    assert _sweep_rows(args) == list(sweep_cases(max_n, k_max, k_max))
 
 
 # ------------------------------------------------------------------ misc

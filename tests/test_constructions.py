@@ -17,6 +17,7 @@ from sigdom import (
     construct_pn1_tight,
     cut_subgraph,
     cycle_decomposition,
+    igraph,
     is_forest,
     is_signed_dds,
     min_signed_dds,
@@ -314,3 +315,24 @@ def test_construct_family_dispatch():
     assert construct_family(16, 1, 6).case_tag == "gcd_d"
     assert construct_family(11, 2, 3).case_tag == "igraph_gcd1"
     assert construct_family(12, 3, 3).case_tag == "igraph_gcd_d"
+
+
+def test_parameter_rule_agrees_everywhere():
+    def accepts(func, *params):
+        try:
+            func(*params)
+        except InvalidParametersError:
+            return False
+        return True
+
+    seen = set()
+    for n in range(15):
+        for j in range(-1, 8):
+            for k in range(-1, 8):
+                funcs = [igraph, build_family, upper_bound, construct_family]
+                verdicts = {accepts(f, n, j, k) for f in funcs}
+                if j == 1:
+                    verdicts.add(accepts(petersen, n, k))
+                assert len(verdicts) == 1, (n, j, k)
+                seen |= verdicts
+    assert seen == {False, True}

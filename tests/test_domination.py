@@ -10,6 +10,7 @@ from sigdom import (
     NotCubicError,
     SignedGraph,
     SizeLimitExceededError,
+    SolveResult,
     WrongCardinalityError,
     all_positive,
     analyze_half_dds,
@@ -275,6 +276,35 @@ def test_batch_solver_matches_individual_calls(data, pick):
         solo = min_signed_dds(s)
         assert r.value == solo.value
         assert r.witness == solo.witness
+
+
+def test_batch_of_one_equals_single_solve_field_for_field():
+    g = petersen(8, 3).graph
+    outcomes = set()
+    for seed in range(6):
+        s = random_signature(g, seed=seed)
+        for budget in (None, Budget(max_nodes=200)):
+            solo = min_signed_dds(s, budget=budget)
+            assert min_signed_dds_many(g, [s], budget=budget) == [solo]
+            outcomes.add(solo.limits_hit)
+    assert outcomes == {False, True}  # the budget both resolved and cut off solves
+
+
+def test_budget_exhausted_batch_marks_every_unresolved_signature():
+    g = petersen(8, 3).graph
+    sigs = [random_signature(g, seed=seed) for seed in range(6)]
+    budget = Budget(max_nodes=800)
+    full = min_signed_dds_many(g, sigs)
+    batch = min_signed_dds_many(g, sigs, budget=budget)
+    assert batch == [min_signed_dds(s, budget=budget) for s in sigs]
+    cut_off = [r for r, f in zip(batch, full) if f.nodes_explored > 800]
+    assert 0 < len(cut_off) < len(sigs)
+    for r, f in zip(batch, full):
+        if f.nodes_explored <= 800:
+            assert r == f
+    spent = cut_off[0].nodes_explored
+    assert spent > 800
+    assert all(r == SolveResult(None, None, spent, True) for r in cut_off)
 
 
 def test_batch_solver_rejects_foreign_signature():
