@@ -56,25 +56,6 @@ def _say(args, line: str) -> None:
         print(line)
 
 
-def _digest(data: str) -> str:
-    return hashlib.sha256(data.encode()).hexdigest()
-
-
-def _finish(args, inputs: dict[str, str], seed, results: dict, started: float) -> None:
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": args.command,
-                    "inputs": inputs,
-                    "seed": seed,
-                    "results": results,
-                    "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-                }
-            )
-        )
-
-
 def _write_out(args, text: str) -> None:
     if args.output:
         Path(args.output).write_text(text)
@@ -82,8 +63,18 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str) -> str:
-    return Path(path).read_text()
+def _load(args, path: str) -> str:
+    """Read an input file and record its sha256 for the report's `inputs`."""
+    text = Path(path).read_text()
+    args.inputs[path] = hashlib.sha256(text.encode()).hexdigest()
+    return text
+
+
+def _seed(args) -> int:
+    """Print the seed and record it as the report's `seed`."""
+    _say(args, f"seed: {args.seed}")
+    args.report_seed = args.seed
+    return args.seed
 
 
 def _cycle_text(cycle: tuple[int, ...], family: FamilyInfo | None) -> str:
@@ -103,8 +94,7 @@ def _family_args(args) -> tuple[int, int, int]:
     return n, j, k
 
 
-def cmd_gen(args) -> int:
-    started = time.perf_counter()
+def cmd_gen(args) -> tuple[int, dict]:
     if args.family == "K4U":
         if len(args.params) != 1:
             raise InvalidParametersError("family K4U expects one parameter")
@@ -112,50 +102,26 @@ def cmd_gen(args) -> int:
     else:
         graph = build_family(*_family_args(args)).graph
     family = FamilyInfo(args.family, tuple(args.params))
-    text = write_edge_list(graph, family)
-    _write_out(args, text)
-    _finish(
-        args,
-        {},
-        None,
-        {"n": graph.n, "m": len(graph.edges), "family": family.header()[2:]},
-        started,
-    )
-    return EXIT_OK
+    _write_out(args, write_edge_list(graph, family))
+    return EXIT_OK, {"n": graph.n, "m": len(graph.edges), "family": family.header()[2:]}
 
 
-def cmd_sign(args) -> int:
-    started = time.perf_counter()
-    text = _load(args.graph)
-    graph, family = read_edge_list(text)
+def cmd_sign(args) -> tuple[int, dict]:
+    graph, family = read_edge_list(_load(args, args.graph))
     if args.all_positive:
         signed = all_positive(graph)
-        seed = None
     elif args.signs:
-        signed, _ = read_signed_edge_list(_load(args.signs))
+        signed, _ = read_signed_edge_list(_load(args, args.signs))
         if signed.graph != graph:
             raise InvalidParametersError("--signs file is for a different graph")
-        seed = None
     else:
-        seed = args.seed
-        _say(args, f"seed: {seed}")
-        signed = random_signature(graph, seed, args.random)
-    out = write_signed_edge_list(signed, family)
-    _write_out(args, out)
-    _finish(
-        args,
-        {args.graph: _digest(text)},
-        seed,
-        {"negative_edges": len(signed.negative_edges())},
-        started,
-    )
-    return EXIT_OK
+        signed = random_signature(graph, _seed(args), args.random)
+    _write_out(args, write_signed_edge_list(signed, family))
+    return EXIT_OK, {"negative_edges": len(signed.negative_edges())}
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    text = _load(args.signed)
-    signed, family = read_signed_edge_list(text)
+def cmd_verify(args) -> tuple[int, dict]:
+    signed, family = read_signed_edge_list(_load(args, args.signed))
     members = parse_vertex_spec(args.set, signed.graph.n, family)
     verdict = is_signed_dds(signed, members, args.k)
     _say(args, f"set: {format_vertex_set(members, family)}")
@@ -170,14 +136,11 @@ def cmd_verify(args) -> int:
         else:
             cyc = _cycle_text(verdict.witness_cycle, family)
             _say(args, f"failure: unbalanced_cut cycle={cyc}")
-    _finish(args, {args.signed: _digest(text)}, None, verdict.to_dict(), started)
-    return EXIT_OK if verdict.ok else EXIT_FAIL
+    return (EXIT_OK if verdict.ok else EXIT_FAIL), verdict.to_dict()
 
 
-def cmd_balance(args) -> int:
-    started = time.perf_counter()
-    text = _load(args.signed)
-    signed, family = read_signed_edge_list(text)
+def cmd_balance(args) -> tuple[int, dict]:
+    signed, family = read_signed_edge_list(_load(args, args.signed))
     cert = is_balanced(signed)
     _say(args, f"balanced: {str(cert.balanced).lower()}")
     results: dict = {"balanced": cert.balanced}
@@ -188,31 +151,18 @@ def cmd_balance(args) -> int:
     else:
         _say(args, f"negative_cycle: {_cycle_text(cert.witness_cycle, family)}")
         results["witness_cycle"] = list(cert.witness_cycle)
-    _finish(args, {args.signed: _digest(text)}, None, results, started)
-    return EXIT_OK if cert.balanced else EXIT_FAIL
+    return (EXIT_OK if cert.balanced else EXIT_FAIL), results
 
 
-def cmd_switch(args) -> int:
-    started = time.perf_counter()
-    text = _load(args.signed)
-    signed, family = read_signed_edge_list(text)
+def cmd_switch(args) -> tuple[int, dict]:
+    signed, family = read_signed_edge_list(_load(args, args.signed))
     members = parse_vertex_spec(args.set, signed.graph.n, family)
-    out = write_signed_edge_list(switch(signed, members), family)
-    _write_out(args, out)
-    _finish(
-        args,
-        {args.signed: _digest(text)},
-        None,
-        {"switched": format_vertex_set(members, family)},
-        started,
-    )
-    return EXIT_OK
+    _write_out(args, write_signed_edge_list(switch(signed, members), family))
+    return EXIT_OK, {"switched": format_vertex_set(members, family)}
 
 
-def cmd_decompose_cut(args) -> int:
-    started = time.perf_counter()
-    text = _load(args.graph)
-    graph, family = read_graph_any(text)
+def cmd_decompose_cut(args) -> tuple[int, dict]:
+    graph, family = read_graph_any(_load(args, args.graph))
     members = parse_vertex_spec(args.set, graph.n, family)
     cut = cut_subgraph(graph, members)
     _say(args, f"cut_edges: {len(cut.edges)}")
@@ -222,17 +172,14 @@ def cmd_decompose_cut(args) -> int:
     except NotEvenGraphError as exc:
         _say(args, f"not_even: {exc}")
         results["not_even"] = str(exc)
-        _finish(args, {args.graph: _digest(text)}, None, results, started)
-        return EXIT_FAIL
+        return EXIT_FAIL, results
     for cyc in decomposition.cycles:
         _say(args, f"cycle: {_cycle_text(cyc, family)}")
     results["cycles"] = [list(c) for c in decomposition.cycles]
-    _finish(args, {args.graph: _digest(text)}, None, results, started)
-    return EXIT_OK
+    return EXIT_OK, results
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
+def cmd_construct(args) -> tuple[int, dict]:
     if args.signatures < 1:
         raise InvalidParametersError(f"--signatures must be >= 1, got {args.signatures}")
     n, j, k = _family_args(args)
@@ -245,11 +192,9 @@ def cmd_construct(args) -> int:
         result, signed = construct_pn1_tight(n)
         ok = is_signed_dds(signed, result.dds).ok
         checks.append(f"all_positive_dds={'ok' if ok else 'FAIL'}")
-        seed = None
     else:
         result = construct_family(n, j, k)
-        seed = args.seed
-        _say(args, f"seed: {seed}")
+        seed = _seed(args)
         ok = True
         for i in range(args.signatures):
             signed = random_signature(fg.graph, seed + i, 0.5)
@@ -266,25 +211,16 @@ def cmd_construct(args) -> int:
     _say(args, f"size: {result.claimed_size}")
     _say(args, f"set: {format_vertex_set(result.dds, family)}")
     _say(args, f"self_check: {'ok' if ok else 'FAIL'} ({', '.join(checks)})")
-    _finish(
-        args,
-        {},
-        seed,
-        {
-            "case_tag": result.case_tag,
-            "claimed_size": result.claimed_size,
-            "set": sorted(result.dds),
-            "self_check": ok,
-        },
-        started,
-    )
-    return EXIT_OK if ok else EXIT_FAIL
+    return (EXIT_OK if ok else EXIT_FAIL), {
+        "case_tag": result.case_tag,
+        "claimed_size": result.claimed_size,
+        "set": sorted(result.dds),
+        "self_check": ok,
+    }
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    text = _load(args.signed)
-    signed, family = read_signed_edge_list(text)
+def cmd_solve(args) -> tuple[int, dict]:
+    signed, family = read_signed_edge_list(_load(args, args.signed))
     budget = None
     if args.max_nodes is not None or args.max_seconds is not None:
         budget = Budget(args.max_nodes, args.max_seconds)
@@ -292,8 +228,7 @@ def cmd_solve(args) -> int:
         result = min_signed_dds(signed, args.k, budget, args.max_n)
     except InfeasibleError as exc:
         _say(args, f"infeasible: {exc}")
-        _finish(args, {args.signed: _digest(text)}, None, {"infeasible": str(exc)}, started)
-        return EXIT_FAIL
+        return EXIT_FAIL, {"infeasible": str(exc)}
     _say(args, f"value: {result.value if result.value is not None else 'unknown'}")
     witness = (
         format_vertex_set(result.witness, family) if result.witness is not None else "none"
@@ -301,8 +236,7 @@ def cmd_solve(args) -> int:
     _say(args, f"witness: {witness}")
     _say(args, f"nodes_explored: {result.nodes_explored}")
     _say(args, f"limits_hit: {str(result.limits_hit).lower()}")
-    _finish(args, {args.signed: _digest(text)}, None, result.to_dict(), started)
-    return EXIT_BUDGET if result.limits_hit else EXIT_OK
+    return (EXIT_BUDGET if result.limits_hit else EXIT_OK), result.to_dict()
 
 
 def _parse_range(spec: str) -> range:
@@ -328,10 +262,8 @@ def _sweep_rows(args) -> list[tuple[int, int, int]]:
     return rows
 
 
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    seed = args.seed
-    _say(args, f"seed: {seed}")
+def cmd_sweep(args) -> tuple[int, dict]:
+    seed = _seed(args)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -381,8 +313,7 @@ def cmd_sweep(args) -> int:
         writer.writerow(row)
         rows.append(row)
     _write_out(args, buf.getvalue())
-    _finish(args, {}, seed, {"rows": rows, "all_sandwich_ok": all_ok}, started)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return (EXIT_OK if all_ok else EXIT_FAIL), {"rows": rows, "all_sandwich_ok": all_ok}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,12 +387,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Dispatch a subcommand; with --json, print its one report.
+
+    Each `cmd_*` returns (exit code, results) and reads its inputs and seed
+    through `_load` and `_seed`, which fill the report's `inputs` and `seed`.
+    """
     args = build_parser().parse_args(argv)
+    args.inputs, args.report_seed = {}, None
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, results = args.func(args)
     except (ValueError, SizeLimitExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        report = {
+            "command": args.command,
+            "inputs": args.inputs,
+            "seed": args.report_seed,
+            "results": results,
+            "timing_ms": round(1000 * (time.perf_counter() - started), 3),
+        }
+        print(json.dumps(report))
+    return code
 
 
 if __name__ == "__main__":

@@ -124,10 +124,8 @@ def is_signed_dds(s: SignedGraph, members: Iterable[int], k: int = 2) -> DdsVerd
     verdict = is_k_tuple_dominating(s.graph, members, k)
     if not verdict.ok:
         return verdict
-    g = s.graph
-    x = vertex_subset(g, members)
-    cut_edges = [e for e in g.edges if (e[0] in x) != (e[1] in x)]
-    cert = is_balanced(SignedGraph(Graph(g.n, cut_edges), {e: s.signs[e] for e in cut_edges}))
+    cut = cut_subgraph(s.graph, members)
+    cert = is_balanced(SignedGraph(cut, {e: s.signs[e] for e in cut.edges}))
     if cert.balanced:
         return DdsVerdict(True)
     return DdsVerdict(False, "unbalanced_cut", witness_cycle=cert.witness_cycle)
@@ -171,6 +169,12 @@ def analyze_half_dds(g: Graph, members: Iterable[int]) -> HalfDdsReport:
 
 class _OutOfBudget(Exception):
     pass
+
+
+# _CoverSearch.rec recurses once per vertex, so a graph this large must be
+# refused before the search starts: well above it Python's recursion limit
+# (1000 by default) turns the search into a RecursionError traceback.
+_MAX_SEARCH_VERTICES = 512
 
 
 class _CoverSearch:
@@ -269,6 +273,11 @@ def _prepare(graph: Graph, k: int, budget: Budget | None, max_vertices: int) -> 
     if graph.n > max_vertices:
         raise SizeLimitExceededError(
             f"{graph.n} vertices exceeds the solver cap of {max_vertices}"
+        )
+    if graph.n > _MAX_SEARCH_VERTICES:
+        raise SizeLimitExceededError(
+            f"{graph.n} vertices exceeds the search's recursion-depth ceiling "
+            f"of {_MAX_SEARCH_VERTICES}"
         )
     for v in range(graph.n):
         if graph.degree(v) + 1 < k:

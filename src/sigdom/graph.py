@@ -20,8 +20,9 @@ Edge = tuple[int, int]
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
-    Edges are stored canonically as sorted (min, max) pairs and adjacency
-    lists are sorted, so every traversal in this package is deterministic.
+    Edges are stored canonically as sorted (min, max) pairs; scanning them in
+    that order leaves every adjacency list sorted, so every traversal in this
+    package is deterministic.
     Duplicate input edges collapse silently; self-loops and out-of-range
     endpoints are rejected.
     """
@@ -42,7 +43,7 @@ class Graph:
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(x)) for x in adj)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)

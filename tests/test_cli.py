@@ -1,4 +1,7 @@
+import argparse
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +120,49 @@ def test_verify_json_report(cube_signed, capsys):
     assert payload["command"] == "verify"
     assert payload["results"]["ok"] is True
     assert set(payload) == {"command", "inputs", "seed", "results", "timing_ms"}
+
+
+# (argv with {graph}/{signed}/{signs} placeholders, files read, reported seed)
+REPORT_CASES = {
+    "gen": (["gen", "P", "4", "1"], [], None),
+    "sign-all-positive": (["sign", "{graph}", "--all-positive"], ["graph"], None),
+    "sign-random": (["sign", "{graph}", "--random", "0.5"], ["graph"], 1729),
+    "sign-signs": (["sign", "{graph}", "--signs", "{signs}"], ["graph", "signs"], None),
+    "verify": (["verify", "{signed}", "--set", "u0,u1"], ["signed"], None),
+    "balance": (["balance", "{signed}"], ["signed"], None),
+    "switch": (["switch", "{signed}", "--set", "u0"], ["signed"], None),
+    "decompose-cut": (["decompose-cut", "{graph}", "--set", "u0,u2,v0,v2"], ["graph"], None),
+    "construct": (["construct", "P", "5", "2", "--signatures", "3", "--seed", "9"], [], 9),
+    "solve": (["solve", "{signed}"], ["signed"], None),
+    "sweep": (["sweep", "--family", "P", "--n", "5..6", "--k", "1..2"], [], 1729),
+}
+
+
+def test_report_cases_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv, _, _ in REPORT_CASES.values()} == set(sub.choices)
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_json_report_for_every_subcommand(case, tmp_path, cube_file, cube_signed, capsys):
+    signs = tmp_path / "signs.sig"
+    g, _ = read_edge_list(cube_file.read_text())
+    signs.write_text("8 12\n" + "".join(f"{a} {b} -\n" for a, b in g.edges))
+    paths = {"graph": str(cube_file), "signed": str(cube_signed), "signs": str(signs)}
+    template, reads, seed = REPORT_CASES[case]
+    argv = [arg.format(**paths) for arg in template]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code in (0, 1) and err == ""
+    assert out.endswith("\n") and out.count("\n") == 1  # one JSON document, no prose
+    payload = json.loads(out)
+    assert set(payload) == {"command", "inputs", "seed", "results", "timing_ms"}
+    assert payload["command"] == argv[0]
+    assert payload["inputs"] == {
+        paths[name]: hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest()
+        for name in reads
+    }
+    assert payload["seed"] == seed
+    assert payload["timing_ms"] >= 0
 
 
 # --------------------------------------------------------------- balance
@@ -258,6 +304,16 @@ def test_solve_respects_vertex_cap(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(sig), "--max-n", "26")
     assert code == 0
     assert "value: 14" in out  # 2(m+1) with n = 2m+1 = 13
+
+
+def test_solve_long_cycle_is_usage_error_not_traceback(tmp_path, capsys):
+    # the search recurses once per vertex; past its ceiling the graph is refused
+    n = 1800
+    sig = tmp_path / "c1800.sig"
+    sig.write_text(f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n} +\n" for i in range(n)))
+    code, out, err = run(capsys, "solve", str(sig), "--max-n", "2000", "--max-nodes", "100000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ------------------------------------------------------------------ sweep

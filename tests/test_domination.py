@@ -330,6 +330,17 @@ def test_vertex_cap():
     assert min_k_tuple_dominating(big, max_vertices=26).value is not None
 
 
+def test_search_depth_ceiling():
+    # the coverage search recurses once per vertex, so a long cycle must be
+    # refused up front rather than overflow Python's recursion limit
+    n = 1800
+    cycle = all_positive(Graph(n, [(i, (i + 1) % n) for i in range(n)]))
+    with pytest.raises(SizeLimitExceededError):
+        min_signed_dds(cycle, max_vertices=2000)
+    with pytest.raises(SizeLimitExceededError):
+        min_k_tuple_dominating(cycle.graph, max_vertices=2000)
+
+
 def test_budget_node_limit():
     r = min_k_tuple_dominating(PETERSEN, budget=Budget(max_nodes=1))
     assert r.limits_hit

@@ -78,6 +78,18 @@ def test_degrees_match_adjacency(data):
     assert sum(g.degrees()) == 2 * len(edges)
 
 
+@given(helpers.graphs(max_n=12), st.data())
+def test_adjacency_lists_are_ascending(data, pick):
+    # BFS certificates and cycle walks scan g.adj[v] and rely on this order
+    n, edges = data
+    shuffled = pick.draw(st.permutations(edges))
+    flips = pick.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    g = Graph(n, [(b, a) if f else (a, b) for (a, b), f in zip(shuffled, flips)])
+    adj = helpers.closed_neighborhoods(n, edges)
+    for v in range(n):
+        assert list(g.adj[v]) == sorted(adj[v] - {v})
+
+
 def test_vertex_subset_validation():
     g = Graph(4, [(0, 1)])
     assert vertex_subset(g, [2, 0]) == frozenset({0, 2})
