@@ -262,6 +262,11 @@ def _sweep_rows(args) -> list[tuple[int, int, int]]:
     return rows
 
 
+def _instance_seed(seed: int, n: int, j: int, k: int) -> int:
+    """The signature seed of one sweep instance; it never depends on the range swept."""
+    return int.from_bytes(hashlib.sha256(f"{seed}:{n}:{j}:{k}".encode()).digest()[:8], "big")
+
+
 def cmd_sweep(args) -> tuple[int, dict]:
     seed = _seed(args)
     buf = io.StringIO()
@@ -283,7 +288,7 @@ def cmd_sweep(args) -> tuple[int, dict]:
     )
     all_ok = True
     rows = []
-    for idx, (n, j, k) in enumerate(_sweep_rows(args)):
+    for n, j, k in _sweep_rows(args):
         fg = build_family(n, j, k)
         result = construct_family(n, j, k)
         bound = upper_bound(n, j, k).value
@@ -292,7 +297,8 @@ def cmd_sweep(args) -> tuple[int, dict]:
         sandwich: bool | str = ""
         if fg.graph.n <= args.solver_cap:
             solved = min_signed_dds(
-                random_signature(fg.graph, seed + idx, 0.5), max_vertices=args.solver_cap
+                random_signature(fg.graph, _instance_seed(seed, n, j, k), 0.5),
+                max_vertices=args.solver_cap,
             )
             solver_value = solved.value
             sandwich = lower <= solved.value <= result.claimed_size

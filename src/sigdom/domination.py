@@ -70,6 +70,13 @@ class Budget:
     max_nodes: int | None = None
     max_seconds: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        # written so that NaN, which compares false, is refused too
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -171,139 +178,10 @@ class _OutOfBudget(Exception):
     pass
 
 
-# _CoverSearch.rec recurses once per vertex, so a graph this large must be
+# rec in _solve recurses once per vertex, so a graph this large must be
 # refused before the search starts: well above it Python's recursion limit
 # (1000 by default) turns the search into a RecursionError traceback.
 _MAX_SEARCH_VERTICES = 512
-
-
-class _CoverSearch:
-    """DFS over fixed-size subsets whose closed neighborhoods are all k-covered.
-
-    Vertices are decided in index order with the include branch first, so
-    candidates stream out in lexicographic order of their sorted index
-    sequences.  Pruning: a branch dies as soon as some vertex can no longer
-    reach multiplicity k with the undecided vertices that remain, and when
-    the total coverage deficit exceeds what the remaining picks could fix.
-    """
-
-    def __init__(self, graph: Graph, k: int, budget: Budget | None) -> None:
-        n = graph.n
-        self.graph = graph
-        self.k = k
-        self.n = n
-        self.cn = tuple((v, *graph.adj[v]) for v in range(n))
-        self.cn_max = max((len(c) for c in self.cn), default=1)
-        self.rest_mask = [(((1 << n) - 1) >> i) << i for i in range(n + 1)]
-        self.nodes = 0
-        self.max_nodes = budget.max_nodes if budget else None
-        deadline = None
-        if budget and budget.max_seconds is not None:
-            deadline = time.monotonic() + budget.max_seconds
-        self.deadline = deadline
-
-    def run(self, size: int, emit: Callable[[int], bool]) -> bool:
-        """Emit coverage-passing masks of the given size until emit() accepts one."""
-        n, k = self.n, self.k
-        if size > n:
-            return False
-        cn = self.cn
-        cn_max = self.cn_max
-        rest_mask = self.rest_mask
-        mult = [0] * n
-        pend = [len(c) for c in cn]
-        deficient = n  # vertices with mult < k (k >= 1 so all start short)
-        deficit = n * k  # total multiplicity still missing
-        max_nodes = self.max_nodes
-        deadline = self.deadline
-        if deadline is not None and time.monotonic() > deadline:
-            raise _OutOfBudget
-
-        def rec(i: int, chosen: int, mask: int) -> bool:
-            nonlocal deficient, deficit
-            self.nodes += 1
-            if max_nodes is not None and self.nodes > max_nodes:
-                raise _OutOfBudget
-            if deadline is not None and (self.nodes & 2047) == 0 and time.monotonic() > deadline:
-                raise _OutOfBudget
-            if chosen == size:
-                return deficient == 0 and emit(mask)
-            if size - chosen == n - i:
-                # forced all-include tail; mult+pend >= k held, so it covers
-                return emit(mask | rest_mask[i])
-            if deficit > (size - chosen) * cn_max:
-                return False
-            # include vertex i
-            for w in cn[i]:
-                pend[w] -= 1
-                m = mult[w]
-                mult[w] = m + 1
-                if m < k:
-                    deficit -= 1
-                    if m + 1 == k:
-                        deficient -= 1
-            found = rec(i + 1, chosen + 1, mask | (1 << i))
-            for w in cn[i]:
-                pend[w] += 1
-                m = mult[w] - 1
-                mult[w] = m
-                if m < k:
-                    deficit += 1
-                    if m + 1 == k:
-                        deficient += 1
-            if found:
-                return True
-            # exclude vertex i (guard above ensures enough vertices remain)
-            ok = True
-            for w in cn[i]:
-                pend[w] -= 1
-                if mult[w] + pend[w] < k:
-                    ok = False
-            found = ok and rec(i + 1, chosen, mask)
-            for w in cn[i]:
-                pend[w] += 1
-            return found
-
-        return rec(0, 0, 0)
-
-
-def _prepare(graph: Graph, k: int, budget: Budget | None, max_vertices: int) -> _CoverSearch:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if graph.n > max_vertices:
-        raise SizeLimitExceededError(
-            f"{graph.n} vertices exceeds the solver cap of {max_vertices}"
-        )
-    if graph.n > _MAX_SEARCH_VERTICES:
-        raise SizeLimitExceededError(
-            f"{graph.n} vertices exceeds the search's recursion-depth ceiling "
-            f"of {_MAX_SEARCH_VERTICES}"
-        )
-    for v in range(graph.n):
-        if graph.degree(v) + 1 < k:
-            raise InfeasibleError(
-                f"vertex {v} has closed neighborhood smaller than k={k}"
-            )
-    return _CoverSearch(graph, k, budget)
-
-
-def _coverage_lower_bound(graph: Graph, k: int) -> int:
-    # every member covers at most max|N[w]| closed neighborhoods
-    if graph.n == 0:
-        return 0
-    cn_max = max(graph.degree(v) for v in range(graph.n)) + 1
-    return max(k, -(-k * graph.n // cn_max))
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
 
 
 def _solve(
@@ -313,36 +191,121 @@ def _solve(
     budget: Budget | None,
     max_vertices: int,
 ) -> list[SolveResult]:
-    """The one cardinality-ascending driver behind every exact solver.
+    """The one exact search behind every solver.
 
-    Coverage does not depend on the acceptance test, so one subset search
-    is shared: each coverage-passing mask is offered to every acceptor that
+    Sizes ascend from max(k, ceil(k*n / max|N[v]|)), since every member
+    covers at most that many closed neighborhoods.  At each size a DFS
+    streams the subsets whose closed neighborhoods are all k-covered.
+    Vertices are decided in index order with the include branch first, so
+    candidates come out in lexicographic order of their sorted index
+    sequences.  Pruning: a branch dies as soon as some vertex can no longer
+    reach multiplicity k with the undecided vertices that remain, and when
+    the total coverage deficit exceeds what the remaining picks could fix.
+
+    Coverage does not depend on the acceptance test, so one search is
+    shared: each coverage-passing mask is offered to every acceptor that
     has not yet accepted one, in index order.  An acceptor's answer is the
     first mask it accepts, which is the lexicographically smallest at the
-    smallest feasible size; its `nodes_explored` is the shared counter at
-    that moment, which equals the count of a search run for it alone.
+    smallest feasible size; its `nodes_explored` is the node count at that
+    moment, which equals the count of a search run for it alone.
     """
-    search = _prepare(graph, k, budget, max_vertices)
-    if graph.n == 0:
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    n = graph.n
+    if n > max_vertices:
+        raise SizeLimitExceededError(f"{n} vertices exceeds the solver cap of {max_vertices}")
+    if n > _MAX_SEARCH_VERTICES:
+        raise SizeLimitExceededError(
+            f"{n} vertices exceeds the search's recursion-depth ceiling "
+            f"of {_MAX_SEARCH_VERTICES}"
+        )
+    cn = tuple((v, *graph.adj[v]) for v in range(n))
+    for v, c in enumerate(cn):
+        if len(c) < k:
+            raise InfeasibleError(f"vertex {v} has closed neighborhood smaller than k={k}")
+    if n == 0:
         return [SolveResult(0, frozenset(), 0, False)] * len(acceptors)
+    cn_max = max(len(c) for c in cn)
+    rest_mask = [(((1 << n) - 1) >> i) << i for i in range(n + 1)]
+    max_nodes = budget.max_nodes if budget else None
+    deadline = None
+    if budget and budget.max_seconds is not None:
+        deadline = time.monotonic() + budget.max_seconds
     results: list[SolveResult | None] = [None] * len(acceptors)
-    unresolved = set(range(len(acceptors)))
+    pending = list(range(len(acceptors)))  # acceptors without an answer, in index order
+    nodes = 0
 
     def emit(mask: int) -> bool:
-        for idx in sorted(unresolved):
-            if acceptors[idx](mask):
-                results[idx] = SolveResult(size, _mask_to_set(mask), search.nodes, False)
-                unresolved.discard(idx)
-        return not unresolved
+        nonlocal pending
+        accepted = [idx for idx in pending if acceptors[idx](mask)]
+        if accepted:
+            witness = frozenset(v for v in range(n) if mask >> v & 1)
+            for idx in accepted:
+                results[idx] = SolveResult(size, witness, nodes, False)
+            pending = [idx for idx in pending if results[idx] is None]
+        return not pending
+
+    def rec(i: int, chosen: int, mask: int) -> bool:
+        nonlocal nodes, deficient, deficit
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise _OutOfBudget
+        if deadline is not None and (nodes & 2047) == 0 and time.monotonic() > deadline:
+            raise _OutOfBudget
+        if chosen == size:
+            return deficient == 0 and emit(mask)
+        if size - chosen == n - i:
+            # forced all-include tail; mult+pend >= k held, so it covers
+            return emit(mask | rest_mask[i])
+        if deficit > (size - chosen) * cn_max:
+            return False
+        # include vertex i
+        for w in cn[i]:
+            pend[w] -= 1
+            m = mult[w]
+            mult[w] = m + 1
+            if m < k:
+                deficit -= 1
+                if m + 1 == k:
+                    deficient -= 1
+        found = rec(i + 1, chosen + 1, mask | (1 << i))
+        for w in cn[i]:
+            pend[w] += 1
+            m = mult[w] - 1
+            mult[w] = m
+            if m < k:
+                deficit += 1
+                if m + 1 == k:
+                    deficient += 1
+        if found:
+            return True
+        # exclude vertex i (guard above ensures enough vertices remain)
+        ok = True
+        for w in cn[i]:
+            pend[w] -= 1
+            if mult[w] + pend[w] < k:
+                ok = False
+        found = ok and rec(i + 1, chosen, mask)
+        for w in cn[i]:
+            pend[w] += 1
+        return found
 
     try:
-        for size in range(_coverage_lower_bound(graph, k), graph.n + 1):
-            if not unresolved or search.run(size, emit):
+        for size in range(max(k, -(-k * n // cn_max)), n + 1):
+            if not pending:
+                break
+            if deadline is not None and time.monotonic() > deadline:
+                raise _OutOfBudget
+            mult = [0] * n
+            pend = [len(c) for c in cn]
+            deficient = n  # vertices with mult < k (k >= 1 so all start short)
+            deficit = n * k  # total multiplicity still missing
+            if rec(0, 0, 0):
                 break
     except _OutOfBudget:
         pass
-    for idx in unresolved:
-        results[idx] = SolveResult(None, None, search.nodes, True)
+    for idx in pending:
+        results[idx] = SolveResult(None, None, nodes, True)
     return results  # type: ignore[return-value]
 
 

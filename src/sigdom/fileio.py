@@ -21,6 +21,8 @@ class EdgeListFormatError(ValueError):
 
 
 _FAMILY_ARITY = {"P": 2, "I": 3, "K4U": 1}
+# a family's vertex count is this multiple of its first parameter
+_FAMILY_VERTICES_PER_UNIT = {"P": 2, "I": 2, "K4U": 4}
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,9 @@ def _ints(tokens: list[str], ln: int, what: str) -> list[int]:
         raise EdgeListFormatError(f"line {ln}: expected {what}") from None
 
 
-def _header_counts(rows: list[tuple[int, list[str]]]) -> tuple[int, int]:
+def _header_counts(
+    family: FamilyInfo | None, rows: list[tuple[int, list[str]]]
+) -> tuple[int, int]:
     if not rows:
         raise EdgeListFormatError("line 1: missing 'n m' header")
     ln, tokens = rows[0]
@@ -89,6 +93,12 @@ def _header_counts(rows: list[tuple[int, list[str]]]) -> tuple[int, int]:
         raise EdgeListFormatError(
             f"line {ln}: header promises {m} edge lines, found {len(rows) - 1}"
         )
+    if family is not None:
+        want = _FAMILY_VERTICES_PER_UNIT[family.kind] * family.params[0]
+        if n != want:
+            raise EdgeListFormatError(
+                f"line {ln}: {family.header()[2:]} has {want} vertices, header says n={n}"
+            )
     return n, m
 
 
@@ -101,7 +111,7 @@ def _check_endpoints(a: int, b: int, n: int, ln: int) -> None:
 
 def read_edge_list(text: str) -> tuple[Graph, FamilyInfo | None]:
     family, rows = _scan(text)
-    n, _ = _header_counts(rows)
+    n, _ = _header_counts(family, rows)
     edges = []
     for ln, tokens in rows[1:]:
         if len(tokens) != 2:
@@ -121,7 +131,7 @@ def write_edge_list(graph: Graph, family: FamilyInfo | None = None) -> str:
 
 def read_signed_edge_list(text: str) -> tuple[SignedGraph, FamilyInfo | None]:
     family, rows = _scan(text)
-    n, _ = _header_counts(rows)
+    n, _ = _header_counts(family, rows)
     edges = []
     signs: dict[tuple[int, int], int] = {}
     for ln, tokens in rows[1:]:

@@ -316,6 +316,26 @@ def test_solve_long_cycle_is_usage_error_not_traceback(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_solve_rejects_family_header_that_miscounts_vertices(tmp_path, capsys):
+    path = tmp_path / "p52.edges"
+    run(capsys, "gen", "P", "5", "2", "-o", str(path))
+    sig = tmp_path / "p52.sig"
+    run(capsys, "sign", str(path), "--all-positive", "-o", str(sig))
+    sig.write_text(sig.read_text().replace("# family P 5 2", "# family P 3 1"))
+    code, out, err = run(capsys, "solve", str(sig))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "limit", [["--max-nodes", "-5"], ["--max-seconds", "-1"], ["--max-seconds", "nan"]]
+)
+def test_solve_rejects_negative_or_nan_budget(cube_signed, capsys, limit):
+    code, out, err = run(capsys, "solve", str(cube_signed), *limit)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 # ------------------------------------------------------------------ sweep
 
 
@@ -375,6 +395,16 @@ def test_sweep_solver_cap_is_the_solver_vertex_cap(capsys):
     header, row = [l for l in out.splitlines() if "," in l]
     rec = dict(zip(header.split(","), row.split(",")))
     assert rec["solver_value"] == "15"
+
+
+def test_sweep_row_does_not_depend_on_the_range(capsys):
+    def rows(n_range):
+        _, out, _ = run(capsys, "sweep", "--family", "P", "--n", n_range, "--k", "1..3")
+        return {l for l in out.splitlines() if l.startswith(("P,8,1,3,", "P,12,1,3,"))}
+
+    wide = rows("3..12")
+    assert len(wide) == 2
+    assert wide == rows("8..12")
 
 
 @pytest.mark.parametrize("max_n,k_max", [(3, 1), (12, 4), (20, 6)])

@@ -200,6 +200,9 @@ def test_min_k_tuple_frozen_values():
     assert min_k_tuple_dominating(CUBE).value == 4
     assert min_k_tuple_dominating(PETERSEN).value == 6
     assert min_k_tuple_dominating(PETERSEN, k=1).value == 3
+    # search nodes are algorithmic work: a refactor of the search keeps them
+    assert min_k_tuple_dominating(PETERSEN).nodes_explored == 88
+    assert min_k_tuple_dominating(PETERSEN, k=1).nodes_explored == 25
     assert min_k_tuple_dominating(k4_union(2)).value == 4
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert min_k_tuple_dominating(c5).value == 4
@@ -241,6 +244,11 @@ def test_min_signed_frozen_values():
     r = min_signed_dds(SignedGraph(PETERSEN, signs))
     assert r.value == 6
     assert sorted(r.witness) == [0, 1, 2, 4, 5, 6]
+    r = min_signed_dds(random_signature(petersen(12, 2).graph, seed=7))
+    assert (r.value, r.nodes_explored) == (14, 37946)
+    g = petersen(8, 3).graph
+    batch = min_signed_dds_many(g, [random_signature(g, seed=seed) for seed in range(6)])
+    assert [b.nodes_explored for b in batch] == [793, 160, 160, 902, 793, 1236]
 
 
 @settings(max_examples=60)
@@ -352,6 +360,14 @@ def test_budget_time_limit():
     r = min_signed_dds(all_positive(PETERSEN), budget=Budget(max_seconds=0.0))
     assert r.limits_hit
     assert r.value is None
+
+
+@pytest.mark.parametrize(
+    "fields", [{"max_nodes": -1}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}]
+)
+def test_budget_rejects_negative_or_nan_limits(fields):
+    with pytest.raises(ValueError):
+        Budget(**fields)
 
 
 def test_budget_generous_enough_is_invisible():

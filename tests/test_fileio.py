@@ -105,6 +105,7 @@ def test_read_graph_any_accepts_both_formats():
         "3 1\n0 1\n# family P 3 1\n",  # family header after data
         "# family Q 3\n3 1\n0 1\n",  # unknown family
         "# family P 3\n3 1\n0 1\n",  # wrong parameter count
+        "# family P 6 1\n10 0\n",  # P(6,1) has 12 vertices, not 10
     ],
 )
 def test_plain_format_errors(text):
@@ -119,6 +120,7 @@ def test_plain_format_errors(text):
         "2 1\n0 1 ?\n",  # bad sign token
         "2 1\n0 1 +1\n",  # signs are bare + or -
         "3 2\n0 1 +\n1 0 -\n",  # conflicting duplicate
+        "# family K4U 2\n4 1\n0 1 +\n",  # K4U(2) has 8 vertices, not 4
     ],
 )
 def test_signed_format_errors(text):
