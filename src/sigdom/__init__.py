@@ -32,7 +32,6 @@ from .domination import (
 )
 from .fileio import (
     EdgeListFormatError,
-    FamilyInfo,
     format_vertex_set,
     parse_vertex_spec,
     read_edge_list,
@@ -43,6 +42,7 @@ from .fileio import (
 )
 from .families import (
     FamilyGraph,
+    FamilyInfo,
     InvalidParametersError,
     igraph,
     index_to_label,

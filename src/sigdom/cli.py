@@ -23,9 +23,8 @@ from .constructions import (
     upper_bound,
 )
 from .domination import Budget, InfeasibleError, is_signed_dds, min_signed_dds
-from .families import InvalidParametersError, family_cases, k4_union
+from .families import _FAMILIES, FamilyInfo, InvalidParametersError, family_cases
 from .fileio import (
-    FamilyInfo,
     format_vertex_set,
     parse_vertex_spec,
     read_edge_list,
@@ -81,27 +80,9 @@ def _cycle_text(cycle: tuple[int, ...], family: FamilyInfo | None) -> str:
     return ",".join(format_vertex_set(frozenset([v]), family) for v in cycle)
 
 
-def _family_args(args) -> tuple[int, int, int]:
-    arity = {"P": 2, "I": 3}[args.family]
-    if len(args.params) != arity:
-        raise InvalidParametersError(
-            f"family {args.family} expects {arity} parameters, got {len(args.params)}"
-        )
-    if args.family == "P":
-        n, k = args.params
-        return n, 1, k
-    n, j, k = args.params
-    return n, j, k
-
-
 def cmd_gen(args) -> tuple[int, dict]:
-    if args.family == "K4U":
-        if len(args.params) != 1:
-            raise InvalidParametersError("family K4U expects one parameter")
-        graph = k4_union(args.params[0])
-    else:
-        graph = build_family(*_family_args(args)).graph
     family = FamilyInfo(args.family, tuple(args.params))
+    graph = family.graph()
     _write_out(args, write_edge_list(graph, family))
     return EXIT_OK, {"n": graph.n, "m": len(graph.edges), "family": family.header()[2:]}
 
@@ -182,9 +163,8 @@ def cmd_decompose_cut(args) -> tuple[int, dict]:
 def cmd_construct(args) -> tuple[int, dict]:
     if args.signatures < 1:
         raise InvalidParametersError(f"--signatures must be >= 1, got {args.signatures}")
-    n, j, k = _family_args(args)
     family = FamilyInfo(args.family, tuple(args.params))
-    fg = build_family(n, j, k)
+    n, j, k = family.njk
     checks: list[str] = []
     if args.tight:
         if j != 1 or k != 1:
@@ -194,17 +174,18 @@ def cmd_construct(args) -> tuple[int, dict]:
         checks.append(f"all_positive_dds={'ok' if ok else 'FAIL'}")
     else:
         result = construct_family(n, j, k)
+        graph = family.graph()
         seed = _seed(args)
         ok = True
         for i in range(args.signatures):
-            signed = random_signature(fg.graph, seed + i, 0.5)
+            signed = random_signature(graph, seed + i, 0.5)
             if not is_signed_dds(signed, result.dds).ok:
                 ok = False
                 checks.append(f"signature_seed={seed + i} FAIL")
                 break
         checks.append(f"signatures={args.signatures}")
         if result.cut_forest_expected:
-            forest = is_forest(cut_subgraph(fg.graph, result.dds))
+            forest = is_forest(cut_subgraph(graph, result.dds))
             ok = ok and forest
             checks.append(f"cut_forest={'ok' if forest else 'FAIL'}")
     _say(args, f"case: {result.case_tag}")
@@ -336,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("gen", cmd_gen, help="generate a family graph edge list")
-    p.add_argument("family", choices=["P", "I", "K4U"])
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("params", nargs="+", type=int)
     p.add_argument("-o", "--output")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import Graph
 
@@ -128,14 +128,69 @@ def petersen(n: int, k: int) -> FamilyGraph:
     return igraph(n, 1, k)
 
 
-def k4_union(m: int) -> Graph:
-    """Disjoint union of m complete graphs on 4 vertices (component c = 4c..4c+3)."""
+def _check_components(m: int) -> None:
     if m < 1:
         raise InvalidParametersError(f"need at least one component, got m={m}")
+
+
+def k4_union(m: int) -> Graph:
+    """Disjoint union of m complete graphs on 4 vertices (component c = 4c..4c+3)."""
+    _check_components(m)
     edges = [
         (4 * c + a, 4 * c + b) for c in range(m) for a in range(4) for b in range(a + 1, 4)
     ]
     return Graph(4 * m, edges)
+
+
+# kind -> (parameter count, vertices per unit of the first parameter,
+#          params -> (n, j, k) for the u/v-labelled kinds, else None)
+_FAMILIES: dict[str, tuple[int, int, Callable[..., tuple[int, int, int]] | None]] = {
+    "P": (2, 2, lambda n, k: (n, 1, k)),
+    "I": (3, 2, lambda n, j, k: (n, j, k)),
+    "K4U": (1, 4, None),
+}
+
+
+@dataclass(frozen=True)
+class FamilyInfo:
+    """A family named by kind and parameters; construction refuses one that names no graph."""
+
+    kind: str
+    params: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in _FAMILIES:
+            raise InvalidParametersError(f"unknown family {self.kind!r}")
+        arity = _FAMILIES[self.kind][0]
+        if len(self.params) != arity:
+            raise InvalidParametersError(
+                f"family {self.kind} expects {arity} parameters, got {len(self.params)}"
+            )
+        if self.njk is None:
+            _check_components(self.params[0])
+        else:
+            validate_params(*self.njk)
+
+    @property
+    def njk(self) -> tuple[int, int, int] | None:
+        """(n, j, k) of the rim-and-spoke graph; None for families without u/v labels."""
+        to_njk = _FAMILIES[self.kind][2]
+        return None if to_njk is None else to_njk(*self.params)
+
+    @property
+    def n(self) -> int | None:
+        """Rim length for label resolution; None for families without u/v labels."""
+        return None if self.njk is None else self.njk[0]
+
+    @property
+    def vertices(self) -> int:
+        return _FAMILIES[self.kind][1] * self.params[0]
+
+    def graph(self) -> Graph:
+        return k4_union(*self.params) if self.njk is None else igraph(*self.njk).graph
+
+    def header(self) -> str:
+        return "# family " + " ".join((self.kind, *map(str, self.params)))
 
 
 def inner_blocks(n: int, k: int) -> tuple[frozenset[int], ...]:

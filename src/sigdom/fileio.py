@@ -2,16 +2,14 @@
 
 Unsigned format: first line "n m", then m lines "a b" (0-based).  Signed
 format adds a sign column: "a b s" with s one of "+" or "-".  A comment
-line "# family P n k" (or "I n j k", "K4U m") may precede the header and
-lets vertex specs use u/v labels.  Writers emit edges in canonical sorted
-order.
+line "# family KIND PARAMS", a `families.FamilyInfo` as `gen` writes it, may
+precede the header and lets vertex specs use u/v labels.  Writers emit
+edges in canonical sorted order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .families import index_to_label, label_to_index
+from .families import FamilyInfo, InvalidParametersError, index_to_label, label_to_index
 from .graph import Graph
 from .signed import SignedGraph
 
@@ -20,36 +18,14 @@ class EdgeListFormatError(ValueError):
     """Malformed edge-list text; messages carry the 1-based line number."""
 
 
-_FAMILY_ARITY = {"P": 2, "I": 3, "K4U": 1}
-# a family's vertex count is this multiple of its first parameter
-_FAMILY_VERTICES_PER_UNIT = {"P": 2, "I": 2, "K4U": 4}
-
-
-@dataclass(frozen=True)
-class FamilyInfo:
-    kind: str
-    params: tuple[int, ...]
-
-    @property
-    def n(self) -> int | None:
-        """Rim length for label resolution; None for families without u/v labels."""
-        return self.params[0] if self.kind in ("P", "I") else None
-
-    def header(self) -> str:
-        return "# family " + " ".join((self.kind, *map(str, self.params)))
-
-
 def _parse_family(line: str, ln: int) -> FamilyInfo:
-    parts = line[1:].split()
-    kind = parts[1] if len(parts) > 1 else ""
-    if kind not in _FAMILY_ARITY:
-        raise EdgeListFormatError(f"line {ln}: unknown family {kind!r}")
-    raw = parts[2:]
-    if len(raw) != _FAMILY_ARITY[kind] or not all(p.isdigit() for p in raw):
-        raise EdgeListFormatError(
-            f"line {ln}: family {kind} expects {_FAMILY_ARITY[kind]} integer parameters"
-        )
-    return FamilyInfo(kind, tuple(int(p) for p in raw))
+    kind, *raw = line[1:].split()[1:] or [""]
+    if not all(p.isdecimal() for p in raw):
+        raise EdgeListFormatError(f"line {ln}: family parameters must be decimal integers")
+    try:
+        return FamilyInfo(kind, tuple(int(p) for p in raw))
+    except InvalidParametersError as exc:
+        raise EdgeListFormatError(f"line {ln}: {exc}") from None
 
 
 def _scan(text: str) -> tuple[FamilyInfo | None, list[tuple[int, list[str]]]]:
@@ -93,12 +69,10 @@ def _header_counts(
         raise EdgeListFormatError(
             f"line {ln}: header promises {m} edge lines, found {len(rows) - 1}"
         )
-    if family is not None:
-        want = _FAMILY_VERTICES_PER_UNIT[family.kind] * family.params[0]
-        if n != want:
-            raise EdgeListFormatError(
-                f"line {ln}: {family.header()[2:]} has {want} vertices, header says n={n}"
-            )
+    if family is not None and n != family.vertices:
+        raise EdgeListFormatError(
+            f"line {ln}: {family.header()[2:]} has {family.vertices} vertices, header says n={n}"
+        )
     return n, m
 
 

@@ -5,8 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from sigdom import Graph, read_edge_list, read_signed_edge_list, sweep_cases
+from sigdom import (
+    EdgeListFormatError,
+    FamilyInfo,
+    Graph,
+    read_edge_list,
+    read_signed_edge_list,
+    sweep_cases,
+)
 from sigdom.cli import _sweep_rows, build_parser, main
+from sigdom.families import _FAMILIES
 
 
 def run(capsys, *argv):
@@ -61,6 +69,53 @@ def test_gen_rejects_bad_params(capsys):
     code, _, err = run(capsys, "gen", "P", "4", "2")
     assert code == 2
     assert "error" in err
+
+
+# one good and one bad parameter tuple per kind of the family table
+FAMILY_CASES = {
+    "P": ((5, 2), (5, 7)),
+    "I": ((7, 2, 3), (9, 4, 2)),
+    "K4U": ((2,), (0,)),
+}
+
+
+def test_gen_choices_are_the_family_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in sub.choices["gen"]._actions if a.dest == "family")
+    assert list(family.choices) == list(_FAMILIES) == list(FAMILY_CASES)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_CASES))
+def test_gen_and_header_read_share_one_rule(kind, tmp_path, capsys):
+    good, bad = FAMILY_CASES[kind]
+    path = tmp_path / "g.edges"
+    code, _, _ = run(capsys, "gen", kind, *map(str, good), "-o", str(path))
+    assert code == 0
+    graph, info = read_edge_list(path.read_text())
+    expected = FamilyInfo(kind, good)
+    assert info == expected
+    assert graph == expected.graph()
+    assert graph.n == info.vertices
+
+    code, out, err = run(capsys, "gen", kind, *map(str, bad))
+    assert code == 2 and out == ""
+    header = " ".join(("# family", kind, *map(str, bad)))
+    with pytest.raises(EdgeListFormatError) as exc:
+        read_edge_list(f"{header}\n0 0\n")
+    message = str(exc.value)
+    assert message.startswith("line 1: ")
+    assert err == f"error: {message.removeprefix('line 1: ')}\n"
+
+
+@pytest.mark.parametrize(
+    "header", ["# family P 5 7", "# family I 9 4 2", "# family K4U 0", "# family P 5 \u00b2"]
+)
+def test_sign_refuses_family_header_that_gen_cannot_build(header, tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_text(f"{header}\n10 0\n")
+    code, out, err = run(capsys, "sign", str(path), "--all-positive")
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1: ")
 
 
 # ------------------------------------------------------------------ sign

@@ -106,6 +106,10 @@ def test_read_graph_any_accepts_both_formats():
         "# family Q 3\n3 1\n0 1\n",  # unknown family
         "# family P 3\n3 1\n0 1\n",  # wrong parameter count
         "# family P 6 1\n10 0\n",  # P(6,1) has 12 vertices, not 10
+        "# family P 5 7\n10 0\n",  # 2k >= n: gen refuses P(5,7)
+        "# family I 9 4 2\n18 0\n",  # j > k: gen refuses I(9,4,2)
+        "# family K4U 0\n0 0\n",  # gen refuses K4U with no component
+        "# family P 5 \u00b2\n10 0\n",  # a digit that int() rejects
     ],
 )
 def test_plain_format_errors(text):
