@@ -23,7 +23,7 @@ from .graph import (
     cycle_decomposition,
     vertex_subset,
 )
-from .signed import SignedGraph, UnderlyingGraphMismatchError, is_balanced
+from .signed import SignedGraph, UnderlyingGraphMismatchError, _bfs_balance
 
 
 class NotCubicError(ValueError):
@@ -125,14 +125,21 @@ def is_k_tuple_dominating(g: Graph, members: Iterable[int], k: int = 2) -> DdsVe
 def is_signed_dds(s: SignedGraph, members: Iterable[int], k: int = 2) -> DdsVerdict:
     """Signed double domination check: coverage first, then balance of the cut.
 
-    The second condition restricts the signature to the cut subgraph of D
-    (same vertex index space) and requires it to be balanced.
+    The second condition restricts the signature to the cut [D : V-D] (same
+    vertex index space) and requires it to be balanced.  The balance BFS
+    runs on the graph's own sorted adjacency with non-cut neighbours
+    skipped, so its certificate equals the one for the cut subgraph.
     """
-    verdict = is_k_tuple_dominating(s.graph, members, k)
+    g = s.graph
+    d = vertex_subset(g, members)
+    verdict = is_k_tuple_dominating(g, d, k)
     if not verdict.ok:
         return verdict
-    cut = cut_subgraph(s.graph, members)
-    cert = is_balanced(SignedGraph(cut, {e: s.signs[e] for e in cut.edges}))
+    cut_adj = [
+        [w for w in nbrs if w not in d] if u in d else [w for w in nbrs if w in d]
+        for u, nbrs in enumerate(g.adj)
+    ]
+    cert = _bfs_balance(g.n, cut_adj, s.signs)
     if cert.balanced:
         return DdsVerdict(True)
     return DdsVerdict(False, "unbalanced_cut", witness_cycle=cert.witness_cycle)

@@ -164,7 +164,8 @@ class FamilyInfo:
         arity = _FAMILIES[self.kind][0]
         if len(self.params) != arity:
             raise InvalidParametersError(
-                f"family {self.kind} expects {arity} parameters, got {len(self.params)}"
+                f"family {self.kind} expects {arity} parameter{'s' * (arity != 1)}, "
+                f"got {len(self.params)}"
             )
         if self.njk is None:
             _check_components(self.params[0])

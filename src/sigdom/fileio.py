@@ -3,7 +3,8 @@
 Unsigned format: first line "n m", then m lines "a b" (0-based).  Signed
 format adds a sign column: "a b s" with s one of "+" or "-".  A comment
 line "# family KIND PARAMS", a `families.FamilyInfo` as `gen` writes it, may
-precede the header and lets vertex specs use u/v labels.  Writers emit
+precede the header and lets vertex specs use u/v labels; the edges must then
+be exactly the family's.  Writers emit
 edges in canonical sorted order.
 """
 
@@ -76,6 +77,13 @@ def _header_counts(
     return n, m
 
 
+def _check_family_edges(family: FamilyInfo | None, graph: Graph, ln: int) -> None:
+    # u/v labels and the header written back out name the family's graph,
+    # so the edges must be exactly that graph's, not only as many vertices
+    if family is not None and graph != family.graph():
+        raise EdgeListFormatError(f"line {ln}: edges are not those of {family.header()[2:]}")
+
+
 def _check_endpoints(a: int, b: int, n: int, ln: int) -> None:
     if a == b:
         raise EdgeListFormatError(f"line {ln}: self-loop at vertex {a}")
@@ -93,7 +101,9 @@ def read_edge_list(text: str) -> tuple[Graph, FamilyInfo | None]:
         a, b = _ints(tokens, ln, "'a b'")
         _check_endpoints(a, b, n, ln)
         edges.append((a, b))
-    return Graph(n, edges), family
+    graph = Graph(n, edges)
+    _check_family_edges(family, graph, rows[0][0])
+    return graph, family
 
 
 def write_edge_list(graph: Graph, family: FamilyInfo | None = None) -> str:
@@ -119,7 +129,9 @@ def read_signed_edge_list(text: str) -> tuple[SignedGraph, FamilyInfo | None]:
             raise EdgeListFormatError(f"line {ln}: conflicting sign for edge {e}")
         signs[e] = s
         edges.append(e)
-    return SignedGraph(Graph(n, edges), signs), family
+    graph = Graph(n, edges)
+    _check_family_edges(family, graph, rows[0][0])
+    return SignedGraph(graph, signs), family
 
 
 def write_signed_edge_list(signed: SignedGraph, family: FamilyInfo | None = None) -> str:

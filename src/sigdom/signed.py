@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graph import Edge, Graph, canonical_cycle, enumerate_cycles, vertex_subset
 
@@ -44,6 +44,15 @@ class SignedGraph:
         self.graph = graph
         self.signs = table
 
+    @classmethod
+    def _trusted(cls, graph: Graph, table: dict[Edge, int]) -> SignedGraph:
+        # skips __init__'s checks: only for tables this module builds from
+        # graph.edges, which are canonical, total and +1/-1 by construction
+        s = cls.__new__(cls)
+        s.graph = graph
+        s.signs = table
+        return s
+
     def sign(self, a: int, b: int) -> int:
         e = (a, b) if a < b else (b, a)
         try:
@@ -68,7 +77,7 @@ class SignedGraph:
 
 def all_positive(graph: Graph) -> SignedGraph:
     """The signature assigning +1 to every edge."""
-    return SignedGraph(graph, {e: 1 for e in graph.edges})
+    return SignedGraph._trusted(graph, {e: 1 for e in graph.edges})
 
 
 @dataclass(frozen=True)
@@ -103,11 +112,18 @@ def is_balanced(s: SignedGraph) -> BalanceCertificate:
     Runs in O(V + E).  Roots are the smallest unvisited vertices and
     adjacency is scanned in sorted order, so certificates are deterministic.
     """
-    g = s.graph
-    mark = [0] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for root in range(g.n):
+    return _bfs_balance(s.graph.n, s.graph.adj, s.signs)
+
+
+def _bfs_balance(
+    n: int, adj: Sequence[Sequence[int]], signs: Mapping[Edge, int]
+) -> BalanceCertificate:
+    # ascending adj lists make the certificate deterministic; is_signed_dds
+    # passes the graph's own lists filtered to the cut
+    mark = [0] * n
+    parent = [-1] * n
+    depth = [0] * n
+    for root in range(n):
         if mark[root]:
             continue
         mark[root] = 1
@@ -115,8 +131,8 @@ def is_balanced(s: SignedGraph) -> BalanceCertificate:
         while queue:
             u = queue.popleft()
             mu = mark[u]
-            for w in g.adj[u]:
-                expected = mu * s.signs[(u, w) if u < w else (w, u)]
+            for w in adj[u]:
+                expected = mu * signs[(u, w) if u < w else (w, u)]
                 if mark[w] == 0:
                     mark[w] = expected
                     parent[w] = u
@@ -155,7 +171,7 @@ def switch(s: SignedGraph, members: Iterable[int]) -> SignedGraph:
     flipped = {
         e: (-v if (e[0] in x) != (e[1] in x) else v) for e, v in s.signs.items()
     }
-    return SignedGraph(s.graph, flipped)
+    return SignedGraph._trusted(s.graph, flipped)
 
 
 def switching_equivalent(s1: SignedGraph, s2: SignedGraph) -> bool:
@@ -169,7 +185,7 @@ def switching_equivalent(s1: SignedGraph, s2: SignedGraph) -> bool:
         raise UnderlyingGraphMismatchError(
             "switching equivalence needs identical underlying graphs"
         )
-    product = SignedGraph(
+    product = SignedGraph._trusted(
         s1.graph, {e: s1.signs[e] * s2.signs[e] for e in s1.graph.edges}
     )
     return is_balanced(product).balanced
@@ -185,7 +201,7 @@ def random_signature(graph: Graph, seed: int, p_neg: float = 0.5) -> SignedGraph
     if not 0.0 <= p_neg <= 1.0:
         raise ValueError(f"p_neg must lie in [0, 1], got {p_neg}")
     rng = random.Random(seed)
-    return SignedGraph(
+    return SignedGraph._trusted(
         graph, {e: (-1 if rng.random() < p_neg else 1) for e in graph.edges}
     )
 

@@ -69,6 +69,9 @@ def test_gen_rejects_bad_params(capsys):
     code, _, err = run(capsys, "gen", "P", "4", "2")
     assert code == 2
     assert "error" in err
+    code, out, err = run(capsys, "gen", "K4U", "1", "2")
+    assert code == 2 and out == ""
+    assert err == "error: family K4U expects 1 parameter, got 2\n"
 
 
 # one good and one bad parameter tuple per kind of the family table
@@ -116,6 +119,16 @@ def test_sign_refuses_family_header_that_gen_cannot_build(header, tmp_path, caps
     code, out, err = run(capsys, "sign", str(path), "--all-positive")
     assert code == 2 and out == ""
     assert err.startswith("error: line 1: ")
+
+
+def test_sign_refuses_family_header_that_names_other_edges(tmp_path, capsys):
+    # I(5,2,2) has P(5,2)'s vertex count but not its edges
+    path = tmp_path / "p.edges"
+    assert run(capsys, "gen", "P", "5", "2", "-o", str(path))[0] == 0
+    path.write_text(path.read_text().replace("# family P 5 2", "# family I 5 2 2"))
+    code, out, err = run(capsys, "sign", str(path), "--all-positive")
+    assert code == 2 and out == ""
+    assert err == "error: line 2: edges are not those of family I 5 2 2\n"
 
 
 # ------------------------------------------------------------------ sign

@@ -15,8 +15,10 @@ from sigdom import (
     all_positive,
     analyze_half_dds,
     cubic_lower_bound,
+    cut_subgraph,
     cycle_sign,
     domination_multiplicity,
+    is_balanced,
     is_k_tuple_dominating,
     is_signed_dds,
     k4_union,
@@ -139,6 +141,31 @@ def test_signed_dds_verdict_matches_oracle(data, pick):
         n, edges, signs, members
     )
     assert is_signed_dds(s, members).ok == ok
+
+
+@settings(max_examples=200)
+@given(helpers.signed_edge_data(min_n=3, max_n=8), st.data())
+def test_unbalanced_cut_witness_matches_cut_subgraph_route(data, pick):
+    n, edges, signs = data
+    s = SignedGraph(Graph(n, edges), signs)
+    drawn = set(pick.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+    # add every vertex the drawn set leaves undominated, so k = 1 coverage
+    # passes and each example reaches the cut check
+    adj = helpers.closed_neighborhoods(n, edges)
+    members = frozenset(drawn | {v for v in range(n) if not adj[v] & drawn})
+    verdict = is_signed_dds(s, members, 1)
+    cut = cut_subgraph(s.graph, members)
+    cert = is_balanced(SignedGraph(cut, {e: s.signs[e] for e in cut.edges}))
+    assert verdict.ok == cert.balanced
+    assert verdict.witness_cycle == cert.witness_cycle
+    if verdict.ok:
+        return
+    assert verdict.failure_kind == "unbalanced_cut"
+    cycle = verdict.witness_cycle
+    cut_edges = set(helpers.brute_cut_edges(edges, members))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (min(a, b), max(a, b)) in cut_edges
+    assert helpers.brute_cycle_sign(cycle, signs) == -1
 
 
 # ----------------------------------------------------------- lower bounds

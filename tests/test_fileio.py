@@ -110,6 +110,7 @@ def test_read_graph_any_accepts_both_formats():
         "# family I 9 4 2\n18 0\n",  # j > k: gen refuses I(9,4,2)
         "# family K4U 0\n0 0\n",  # gen refuses K4U with no component
         "# family P 5 \u00b2\n10 0\n",  # a digit that int() rejects
+        "# family K4U 1\n4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n",  # K4U(1) also has edge 2-3
     ],
 )
 def test_plain_format_errors(text):
@@ -125,6 +126,8 @@ def test_plain_format_errors(text):
         "2 1\n0 1 +1\n",  # signs are bare + or -
         "3 2\n0 1 +\n1 0 -\n",  # conflicting duplicate
         "# family K4U 2\n4 1\n0 1 +\n",  # K4U(2) has 8 vertices, not 4
+        # P(3,1) has spoke 0-3, not 0-4
+        "# family P 3 1\n6 9\n0 1 +\n0 2 -\n0 4 +\n1 2 +\n1 4 -\n2 5 +\n3 4 +\n3 5 +\n4 5 +\n",
     ],
 )
 def test_signed_format_errors(text):

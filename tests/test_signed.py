@@ -40,6 +40,22 @@ def test_signature_must_cover_edges_exactly():
         signs = {e: 1 for e in K4.edges}
         signs[(1, 0)] = -1  # same edge, other orientation, other sign
         SignedGraph(K4, signs)
+    with pytest.raises(ValueError):
+        SignedGraph(Graph(4, [(0, 1)]), {(0, 1): 1, (2, 3): 1})  # extra edge
+
+
+@given(helpers.graphs(max_n=8), st.integers(0, 2**32 - 1), st.data())
+def test_library_built_signatures_pass_validation(data, seed, pick):
+    # random_signature, switch and all_positive skip SignedGraph's checks;
+    # re-validating their tables must give back the same signed graph
+    n, edges = data
+    g = Graph(n, edges)
+    members = pick.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    rnd = random_signature(g, seed, 0.5)
+    for s in (rnd, all_positive(g), switch(rnd, members)):
+        assert SignedGraph(s.graph, s.signs) == s
+    for s in (rnd, all_positive(g)):
+        assert tuple(s.signs) == s.graph.edges
 
 
 def test_reversed_orientation_with_same_sign_is_fine():
