@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .graph import (
@@ -193,7 +192,8 @@ _MAX_SEARCH_VERTICES = 512
 
 def _solve(
     graph: Graph,
-    acceptors: Sequence[Callable[[int], bool]],
+    accept: Callable[[int, int], int],
+    count: int,
     k: int,
     budget: Budget | None,
     max_vertices: int,
@@ -209,12 +209,12 @@ def _solve(
     reach multiplicity k with the undecided vertices that remain, and when
     the total coverage deficit exceeds what the remaining picks could fix.
 
-    Coverage does not depend on the acceptance test, so one search is
-    shared: each coverage-passing mask is offered to every acceptor that
-    has not yet accepted one, in index order.  An acceptor's answer is the
-    first mask it accepts, which is the lexicographically smallest at the
-    smallest feasible size; its `nodes_explored` is the node count at that
-    moment, which equals the count of a search run for it alone.
+    One search serves `count` acceptance tests: `accept(mask, pending)`
+    gets each coverage-passing mask and the bitmask of the tests still
+    unanswered, and returns the bits of those that accept it.  A test's
+    answer is the first mask it accepts, the lexicographically smallest at
+    the smallest feasible size; its `nodes_explored` is the node count at
+    that moment, which equals the count of a search run for it alone.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -231,25 +231,24 @@ def _solve(
         if len(c) < k:
             raise InfeasibleError(f"vertex {v} has closed neighborhood smaller than k={k}")
     if n == 0:
-        return [SolveResult(0, frozenset(), 0, False)] * len(acceptors)
+        return [SolveResult(0, frozenset(), 0, False)] * count
     cn_max = max(len(c) for c in cn)
     rest_mask = [(((1 << n) - 1) >> i) << i for i in range(n + 1)]
     max_nodes = budget.max_nodes if budget else None
     deadline = None
     if budget and budget.max_seconds is not None:
         deadline = time.monotonic() + budget.max_seconds
-    results: list[SolveResult | None] = [None] * len(acceptors)
-    pending = list(range(len(acceptors)))  # acceptors without an answer, in index order
+    results: list[SolveResult | None] = [None] * count
+    pending = (1 << count) - 1  # bit i: test i has no answer yet
     nodes = 0
 
     def emit(mask: int) -> bool:
         nonlocal pending
-        accepted = [idx for idx in pending if acceptors[idx](mask)]
+        accepted = accept(mask, pending)
         if accepted:
-            witness = frozenset(v for v in range(n) if mask >> v & 1)
-            for idx in accepted:
-                results[idx] = SolveResult(size, witness, nodes, False)
-            pending = [idx for idx in pending if results[idx] is None]
+            pending ^= accepted
+            result = SolveResult(size, frozenset(v for v in range(n) if mask >> v & 1), nodes, False)
+            results[:] = [result if accepted >> i & 1 else r for i, r in enumerate(results)]
         return not pending
 
     def rec(i: int, chosen: int, mask: int) -> bool:
@@ -311,9 +310,8 @@ def _solve(
                 break
     except _OutOfBudget:
         pass
-    for idx in pending:
-        results[idx] = SolveResult(None, None, nodes, True)
-    return results  # type: ignore[return-value]
+    unresolved = SolveResult(None, None, nodes, True)
+    return [unresolved if r is None else r for r in results]
 
 
 def min_k_tuple_dominating(
@@ -328,38 +326,45 @@ def min_k_tuple_dominating(
     graphs with k=2 is the half-order bound |V|/2.  The witness is the
     lexicographically smallest minimum set.
     """
-    return _solve(graph, [lambda mask: True], k, budget, max_vertices)[0]
+    return _solve(graph, lambda mask, pending: pending, 1, k, budget, max_vertices)[0]
 
 
-def _edge_data(s: SignedGraph) -> list[tuple[int, int, int, int, int]]:
-    return [
-        (a, b, 1 << a, 1 << b, 0 if s.signs[(a, b)] > 0 else 1)
-        for (a, b) in s.graph.edges
-    ]
+def _cut_balanced(graph: Graph, signatures: Sequence[SignedGraph]) -> Callable[[int, int], int]:
+    # one parity union-find over a mask's cut serves every signature: parities
+    # are bit vectors over them, and `neg` holds those where the edge is negative
+    n = graph.n
+    negs = dict.fromkeys(graph.edges, 0)
+    for i, s in enumerate(signatures):
+        for e, sign in s.signs.items():
+            if sign < 0:
+                negs[e] |= 1 << i
+    edata = [(a, b, 1 << a, 1 << b, negs[a, b]) for a, b in graph.edges]
 
+    def accept(mask: int, pending: int) -> int:
+        parent = list(range(n))
+        parity = [0] * n
+        bad = 0  # signatures with a negative cut cycle
+        for a, b, abit, bbit, neg in edata:
+            if ((mask & abit) != 0) == ((mask & bbit) != 0):
+                continue
+            x, px = a, 0
+            while parent[x] != x:
+                px ^= parity[x]
+                x = parent[x]
+            y, py = b, 0
+            while parent[y] != y:
+                py ^= parity[y]
+                y = parent[y]
+            if x == y:
+                bad |= px ^ py ^ neg
+                if bad & pending == pending:
+                    return 0
+            else:
+                parent[x] = y
+                parity[x] = px ^ py ^ neg
+        return pending & ~bad
 
-def _cut_balanced(n: int, edata: list[tuple[int, int, int, int, int]], mask: int) -> bool:
-    # union-find with parity over the cut edges only
-    parent = list(range(n))
-    parity = [0] * n
-    for a, b, abit, bbit, neg in edata:
-        if ((mask & abit) != 0) == ((mask & bbit) != 0):
-            continue
-        x, px = a, 0
-        while parent[x] != x:
-            px ^= parity[x]
-            x = parent[x]
-        y, py = b, 0
-        while parent[y] != y:
-            py ^= parity[y]
-            y = parent[y]
-        if x == y:
-            if px ^ py != neg:
-                return False
-        else:
-            parent[x] = y
-            parity[x] = px ^ py ^ neg
-    return True
+    return accept
 
 
 def min_signed_dds(
@@ -387,13 +392,12 @@ def min_signed_dds_many(
 ) -> list[SolveResult]:
     """Solve min_signed_dds for many signatures of one graph in a single search.
 
-    Coverage does not depend on signs, so the subset search is shared and
-    each candidate is tested against every still-unsolved signature.  The
-    values and witnesses equal the individual min_signed_dds results;
-    `nodes_explored` reports the shared counter at resolution time.
+    Coverage does not depend on signs, so the subset search is shared, and
+    each candidate gets one cut check for all unsolved signatures: a
+    union-find whose parities are bit vectors over them.  The results equal
+    the individual min_signed_dds results field for field.
     """
     for s in signatures:
         if s.graph != graph:
             raise UnderlyingGraphMismatchError("all signatures must live on the given graph")
-    acceptors = [partial(_cut_balanced, graph.n, _edge_data(s)) for s in signatures]
-    return _solve(graph, acceptors, k, budget, max_vertices)
+    return _solve(graph, _cut_balanced(graph, signatures), len(signatures), k, budget, max_vertices)

@@ -28,6 +28,7 @@ from sigdom import (
     petersen,
     random_signature,
 )
+from sigdom.domination import _cut_balanced
 
 CUBE = Graph(8, helpers.petersen_edges(4, 1))
 PETERSEN = Graph(10, helpers.petersen_edges(5, 2))
@@ -340,6 +341,52 @@ def test_budget_exhausted_batch_marks_every_unresolved_signature():
     spent = cut_off[0].nodes_explored
     assert spent > 800
     assert all(r == SolveResult(None, None, spent, True) for r in cut_off)
+
+
+def test_wide_batch_equals_solo_solves_field_for_field():
+    # 130 signatures carry the acceptor's bit vectors past 64 and 128 bits
+    g = petersen(8, 3).graph
+    rand = [random_signature(g, seed=seed) for seed in range(125)]
+    plus, minus = all_positive(g), SignedGraph(g, {e: -1 for e in g.edges})
+    sigs = rand[:63] + [plus, minus] + rand[63:] + [rand[0], rand[70], plus]
+    assert len(sigs) == 130
+    outcomes = set()
+    for budget in (None, Budget(max_nodes=800)):
+        batch = min_signed_dds_many(g, sigs, budget=budget)
+        assert batch == [min_signed_dds(s, budget=budget) for s in sigs]
+        # a cut is bipartite, so all-negative balances wherever all-positive does
+        assert batch[63] == batch[64]
+        outcomes |= {r.limits_hit for r in batch}
+    assert outcomes == {False, True}
+
+
+@given(helpers.graphs(min_n=1, max_n=8), st.integers(1, 70), st.data())
+def test_batch_acceptor_matches_bfs_balance_of_each_cut(data, count, pick):
+    n, edges = data
+    g = Graph(n, edges)
+    sigs = [
+        SignedGraph(g, {e: pick.draw(st.sampled_from((1, -1))) for e in edges})
+        for _ in range(count)
+    ]
+    accept = _cut_balanced(g, sigs)
+    for _ in range(3):
+        mask = pick.draw(st.integers(0, (1 << n) - 1))
+        pending = pick.draw(st.integers(0, (1 << count) - 1))
+        accepted = accept(mask, pending)
+        assert accepted & ~pending == 0
+        cut = cut_subgraph(g, [v for v in range(n) if mask >> v & 1])
+        for i, s in enumerate(sigs):
+            if pending >> i & 1:
+                balanced = is_balanced(SignedGraph(cut, {e: s.signs[e] for e in cut.edges}))
+                assert bool(accepted >> i & 1) == balanced.balanced
+
+
+def test_batch_solver_count_edges():
+    assert min_signed_dds_many(PETERSEN, []) == []
+    empty = Graph(0)
+    assert min_signed_dds_many(empty, [all_positive(empty)] * 3) == [
+        SolveResult(0, frozenset(), 0, False)
+    ] * 3
 
 
 def test_batch_solver_rejects_foreign_signature():
