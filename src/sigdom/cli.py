@@ -202,9 +202,7 @@ def cmd_construct(args) -> tuple[int, dict]:
 
 def cmd_solve(args) -> tuple[int, dict]:
     signed, family = read_signed_edge_list(_load(args, args.signed))
-    budget = None
-    if args.max_nodes is not None or args.max_seconds is not None:
-        budget = Budget(args.max_nodes, args.max_seconds)
+    budget = Budget(args.max_nodes, args.max_seconds)
     try:
         result = min_signed_dds(signed, args.k, budget, args.max_n)
     except InfeasibleError as exc:

@@ -205,9 +205,11 @@ def _solve(
     streams the subsets whose closed neighborhoods are all k-covered.
     Vertices are decided in index order with the include branch first, so
     candidates come out in lexicographic order of their sorted index
-    sequences.  Pruning: a branch dies as soon as some vertex can no longer
-    reach multiplicity k with the undecided vertices that remain, and when
-    the total coverage deficit exceeds what the remaining picks could fix.
+    sequences.  State: `mult[v]` and `reach[v]` count the members of N[v]
+    included and not yet excluded, and `deficit` sums max(0, k - mult[v]).
+    The reach rule prunes an exclusion that leaves some reach[v] < k, so
+    reach >= k holds at every node; the deficit rule prunes a branch whose
+    deficit exceeds what the remaining picks could cover.
 
     One search serves `count` acceptance tests: `accept(mask, pending)`
     gets each coverage-passing mask and the bitmask of the tests still
@@ -252,60 +254,56 @@ def _solve(
         return not pending
 
     def rec(i: int, chosen: int, mask: int) -> bool:
-        nonlocal nodes, deficient, deficit
+        nonlocal nodes, deficit
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise _OutOfBudget
         if deadline is not None and (nodes & 2047) == 0 and time.monotonic() > deadline:
             raise _OutOfBudget
         if chosen == size:
-            return deficient == 0 and emit(mask)
+            return deficit == 0 and emit(mask)
         if size - chosen == n - i:
-            # forced all-include tail; mult+pend >= k held, so it covers
+            # forced all-include tail; reach >= k everywhere, so it covers
             return emit(mask | rest_mask[i])
         if deficit > (size - chosen) * cn_max:
             return False
-        # include vertex i
+        # include vertex i; reach is unchanged
         for w in cn[i]:
-            pend[w] -= 1
             m = mult[w]
             mult[w] = m + 1
             if m < k:
                 deficit -= 1
-                if m + 1 == k:
-                    deficient -= 1
         found = rec(i + 1, chosen + 1, mask | (1 << i))
         for w in cn[i]:
-            pend[w] += 1
             m = mult[w] - 1
             mult[w] = m
             if m < k:
                 deficit += 1
-                if m + 1 == k:
-                    deficient += 1
         if found:
             return True
         # exclude vertex i (guard above ensures enough vertices remain)
         ok = True
         for w in cn[i]:
-            pend[w] -= 1
-            if mult[w] + pend[w] < k:
+            r = reach[w] - 1
+            reach[w] = r
+            if r < k:
                 ok = False
         found = ok and rec(i + 1, chosen, mask)
         for w in cn[i]:
-            pend[w] += 1
+            reach[w] += 1
         return found
 
+    # rec undoes its changes on every return, and _OutOfBudget ends the
+    # search, so each size starts from this state
+    mult = [0] * n
+    reach = [len(c) for c in cn]
+    deficit = n * k
     try:
         for size in range(max(k, -(-k * n // cn_max)), n + 1):
             if not pending:
                 break
             if deadline is not None and time.monotonic() > deadline:
                 raise _OutOfBudget
-            mult = [0] * n
-            pend = [len(c) for c in cn]
-            deficient = n  # vertices with mult < k (k >= 1 so all start short)
-            deficit = n * k  # total multiplicity still missing
             if rec(0, 0, 0):
                 break
     except _OutOfBudget:

@@ -4,14 +4,14 @@ Unsigned format: first line "n m", then m lines "a b" (0-based).  Signed
 format adds a sign column: "a b s" with s one of "+" or "-".  A comment
 line "# family KIND PARAMS", a `families.FamilyInfo` as `gen` writes it, may
 precede the header and lets vertex specs use u/v labels; the edges must then
-be exactly the family's.  Writers emit
-edges in canonical sorted order.
+be exactly the family's.  Counts and vertex indices are `str.isdecimal`
+tokens.  Writers emit edges in canonical sorted order.
 """
 
 from __future__ import annotations
 
 from .families import FamilyInfo, InvalidParametersError, index_to_label, label_to_index
-from .graph import Graph
+from .graph import Edge, Graph
 from .signed import SignedGraph
 
 
@@ -49,10 +49,11 @@ def _scan(text: str) -> tuple[FamilyInfo | None, list[tuple[int, list[str]]]]:
 
 
 def _ints(tokens: list[str], ln: int, what: str) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise EdgeListFormatError(f"line {ln}: expected {what}") from None
+    # the family header's rule: int() alone would also take "1_0" and "+1"
+    ints = [int(t) for t in tokens if t.isdecimal()]
+    if len(ints) != len(tokens):
+        raise EdgeListFormatError(f"line {ln}: expected {what}")
+    return ints
 
 
 def _header_counts(
@@ -64,8 +65,6 @@ def _header_counts(
     if len(tokens) != 2:
         raise EdgeListFormatError(f"line {ln}: expected 'n m'")
     n, m = _ints(tokens, ln, "'n m'")
-    if n < 0 or m < 0:
-        raise EdgeListFormatError(f"line {ln}: counts must be nonnegative")
     if len(rows) - 1 != m:
         raise EdgeListFormatError(
             f"line {ln}: header promises {m} edge lines, found {len(rows) - 1}"
@@ -74,83 +73,76 @@ def _header_counts(
         raise EdgeListFormatError(
             f"line {ln}: {family.header()[2:]} has {family.vertices} vertices, header says n={n}"
         )
-    return n, m
+    return ln, n
 
 
-def _check_family_edges(family: FamilyInfo | None, graph: Graph, ln: int) -> None:
+def _read(text: str, signed: bool | None) -> tuple[Graph, dict[Edge, int], FamilyInfo | None]:
+    # signed=None takes the format from the width of the first edge row
+    family, rows = _scan(text)
+    header_ln, n = _header_counts(family, rows)
+    if signed is None:
+        signed = len(rows) > 1 and len(rows[1][1]) == 3
+    width, what = (3, "'a b s'") if signed else (2, "'a b'")
+    edges = []
+    signs: dict[Edge, int] = {}
+    for ln, tokens in rows[1:]:
+        if len(tokens) != width or signed and tokens[2] not in ("+", "-"):
+            raise EdgeListFormatError(
+                f"line {ln}: expected {what}" + (" with s in {+,-}" if signed else "")
+            )
+        a, b = _ints(tokens[:2], ln, what)
+        if a == b:
+            raise EdgeListFormatError(f"line {ln}: self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise EdgeListFormatError(f"line {ln}: endpoint out of range for n={n}")
+        e = (a, b) if a < b else (b, a)
+        if signed:
+            s = 1 if tokens[2] == "+" else -1
+            if signs.get(e, s) != s:
+                raise EdgeListFormatError(f"line {ln}: conflicting sign for edge {e}")
+            signs[e] = s
+        edges.append(e)
+    graph = Graph(n, edges)
     # u/v labels and the header written back out name the family's graph,
     # so the edges must be exactly that graph's, not only as many vertices
     if family is not None and graph != family.graph():
-        raise EdgeListFormatError(f"line {ln}: edges are not those of {family.header()[2:]}")
+        raise EdgeListFormatError(
+            f"line {header_ln}: edges are not those of {family.header()[2:]}"
+        )
+    return graph, signs, family
 
 
-def _check_endpoints(a: int, b: int, n: int, ln: int) -> None:
-    if a == b:
-        raise EdgeListFormatError(f"line {ln}: self-loop at vertex {a}")
-    if not (0 <= a < n and 0 <= b < n):
-        raise EdgeListFormatError(f"line {ln}: endpoint out of range for n={n}")
+def _write(graph: Graph, signs: dict[Edge, int] | None, family: FamilyInfo | None) -> str:
+    lines = [family.header()] if family else []
+    lines.append(f"{graph.n} {len(graph.edges)}")
+    for a, b in graph.edges:
+        sign = "" if signs is None else " +" if signs[a, b] > 0 else " -"
+        lines.append(f"{a} {b}{sign}")
+    return "\n".join(lines) + "\n"
 
 
 def read_edge_list(text: str) -> tuple[Graph, FamilyInfo | None]:
-    family, rows = _scan(text)
-    n, _ = _header_counts(family, rows)
-    edges = []
-    for ln, tokens in rows[1:]:
-        if len(tokens) != 2:
-            raise EdgeListFormatError(f"line {ln}: expected 'a b'")
-        a, b = _ints(tokens, ln, "'a b'")
-        _check_endpoints(a, b, n, ln)
-        edges.append((a, b))
-    graph = Graph(n, edges)
-    _check_family_edges(family, graph, rows[0][0])
+    graph, _, family = _read(text, False)
     return graph, family
 
 
 def write_edge_list(graph: Graph, family: FamilyInfo | None = None) -> str:
-    lines = [family.header()] if family else []
-    lines.append(f"{graph.n} {len(graph.edges)}")
-    lines.extend(f"{a} {b}" for a, b in graph.edges)
-    return "\n".join(lines) + "\n"
+    return _write(graph, None, family)
 
 
 def read_signed_edge_list(text: str) -> tuple[SignedGraph, FamilyInfo | None]:
-    family, rows = _scan(text)
-    n, _ = _header_counts(family, rows)
-    edges = []
-    signs: dict[tuple[int, int], int] = {}
-    for ln, tokens in rows[1:]:
-        if len(tokens) != 3 or tokens[2] not in ("+", "-"):
-            raise EdgeListFormatError(f"line {ln}: expected 'a b s' with s in {{+,-}}")
-        a, b = _ints(tokens[:2], ln, "'a b s'")
-        _check_endpoints(a, b, n, ln)
-        e = (a, b) if a < b else (b, a)
-        s = 1 if tokens[2] == "+" else -1
-        if signs.get(e, s) != s:
-            raise EdgeListFormatError(f"line {ln}: conflicting sign for edge {e}")
-        signs[e] = s
-        edges.append(e)
-    graph = Graph(n, edges)
-    _check_family_edges(family, graph, rows[0][0])
+    graph, signs, family = _read(text, True)
     return SignedGraph(graph, signs), family
 
 
 def write_signed_edge_list(signed: SignedGraph, family: FamilyInfo | None = None) -> str:
-    lines = [family.header()] if family else []
-    lines.append(f"{signed.graph.n} {len(signed.graph.edges)}")
-    lines.extend(
-        f"{a} {b} {'+' if signed.signs[(a, b)] > 0 else '-'}"
-        for a, b in signed.graph.edges
-    )
-    return "\n".join(lines) + "\n"
+    return _write(signed.graph, signed.signs, family)
 
 
 def read_graph_any(text: str) -> tuple[Graph, FamilyInfo | None]:
     """Read either format, keeping only the underlying graph."""
-    _, rows = _scan(text)
-    if len(rows) > 1 and len(rows[1][1]) == 3:
-        signed, family = read_signed_edge_list(text)
-        return signed.graph, family
-    return read_edge_list(text)
+    graph, _, family = _read(text, None)
+    return graph, family
 
 
 def parse_vertex_spec(
@@ -165,12 +157,10 @@ def parse_vertex_spec(
                     f"label {token!r} needs a family header with u/v labels"
                 )
             members.add(label_to_index(token, family.n))
+        elif token.isdecimal():
+            members.add(int(token))
         else:
-            try:
-                v = int(token)
-            except ValueError:
-                raise ValueError(f"bad vertex token {token!r}") from None
-            members.add(v)
+            raise ValueError(f"bad vertex token {token!r}")
     for v in members:
         if not (0 <= v < n_vertices):
             raise ValueError(f"vertex {v} out of range for n={n_vertices}")

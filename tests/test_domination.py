@@ -231,6 +231,10 @@ def test_min_k_tuple_frozen_values():
     # search nodes are algorithmic work: a refactor of the search keeps them
     assert min_k_tuple_dominating(PETERSEN).nodes_explored == 88
     assert min_k_tuple_dominating(PETERSEN, k=1).nodes_explored == 25
+    r = min_k_tuple_dominating(PETERSEN, k=3)
+    assert (r.value, sorted(r.witness), r.nodes_explored) == (9, list(range(9)), 63)
+    r = min_k_tuple_dominating(CUBE, k=3)
+    assert (r.value, sorted(r.witness), r.nodes_explored) == (6, [0, 1, 2, 4, 6, 7], 12)
     assert min_k_tuple_dominating(k4_union(2)).value == 4
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert min_k_tuple_dominating(c5).value == 4
@@ -245,7 +249,7 @@ def test_min_k_tuple_witness_is_lex_smallest():
 
 
 @settings(max_examples=60)
-@given(helpers.graphs(min_n=1, max_n=7), st.integers(1, 2))
+@given(helpers.graphs(min_n=1, max_n=7), st.integers(1, 3))
 def test_min_k_tuple_matches_oracle(data, k):
     n, edges = data
     g = Graph(n, edges)

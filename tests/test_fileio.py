@@ -102,6 +102,8 @@ def test_read_graph_any_accepts_both_formats():
         "x 1\n0 1\n",  # non-integer header
         "3 1\n0 one\n",  # non-integer endpoint
         "3 1\n0 1 2 3\n",  # too many tokens in a row
+        "1_1 1\n0 1_0\n",  # int() takes "1_1" as 11; counts are decimal digits only
+        "11 1\n0 1_0\n",  # and so are endpoints
         "3 1\n0 1\n# family P 3 1\n",  # family header after data
         "# family Q 3\n3 1\n0 1\n",  # unknown family
         "# family P 3\n3 1\n0 1\n",  # wrong parameter count
@@ -124,6 +126,8 @@ def test_plain_format_errors(text):
         "2 1\n0 1\n",  # missing sign column
         "2 1\n0 1 ?\n",  # bad sign token
         "2 1\n0 1 +1\n",  # signs are bare + or -
+        "+3 1\n0 1 -\n",  # int() takes "+3" as 3
+        "3 1\n+1 2 -\n",  # and "+1" as 1
         "3 2\n0 1 +\n1 0 -\n",  # conflicting duplicate
         "# family K4U 2\n4 1\n0 1 +\n",  # K4U(2) has 8 vertices, not 4
         # P(3,1) has spoke 0-3, not 0-4
@@ -144,6 +148,8 @@ def test_duplicate_edge_same_sign_collapses():
 def test_error_messages_carry_line_numbers():
     with pytest.raises(EdgeListFormatError, match="line 2"):
         read_edge_list("3 1\n0 9\n")
+    with pytest.raises(EdgeListFormatError, match="line 2: expected 'a b'$"):
+        read_edge_list("11 1\n0 1_0\n")
 
 
 # ------------------------------------------------------------- vertex specs
@@ -166,6 +172,9 @@ def test_parse_vertex_spec_labels_need_family():
 def test_parse_vertex_spec_range_checks():
     with pytest.raises(ValueError):
         parse_vertex_spec("9", 8, None)
+    for token in ("1_0", "+1"):  # in range once int() reads them
+        with pytest.raises(ValueError, match="bad vertex token"):
+            parse_vertex_spec(token, 20, None)
     with pytest.raises(ValueError):
         parse_vertex_spec("u4", 8, FamilyInfo("P", (4, 1)))
 
