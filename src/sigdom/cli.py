@@ -27,7 +27,6 @@ from .families import _FAMILIES, FamilyInfo, InvalidParametersError, family_case
 from .fileio import (
     format_vertex_set,
     parse_vertex_spec,
-    read_edge_list,
     read_graph_any,
     read_signed_edge_list,
     write_edge_list,
@@ -88,7 +87,7 @@ def cmd_gen(args) -> tuple[int, dict]:
 
 
 def cmd_sign(args) -> tuple[int, dict]:
-    graph, family = read_edge_list(_load(args, args.graph))
+    graph, family = read_graph_any(_load(args, args.graph))
     if args.all_positive:
         signed = all_positive(graph)
     elif args.signs:

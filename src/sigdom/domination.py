@@ -10,6 +10,7 @@ greedy set and instead search subsets by ascending cardinality.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -205,11 +206,14 @@ def _solve(
     streams the subsets whose closed neighborhoods are all k-covered.
     Vertices are decided in index order with the include branch first, so
     candidates come out in lexicographic order of their sorted index
-    sequences.  State: `mult[v]` and `reach[v]` count the members of N[v]
-    included and not yet excluded, and `deficit` sums max(0, k - mult[v]).
-    The reach rule prunes an exclusion that leaves some reach[v] < k, so
-    reach >= k holds at every node; the deficit rule prunes a branch whose
-    deficit exceeds what the remaining picks could cover.
+    sequences.  Coverage is k bit-sliced levels in one int: bits t*n..t*n+n-1
+    of `cover` hold the vertices covered more than t times, so including
+    vertex i is one carry chain over N[i]'s mask and the deficit, the sum of
+    max(0, k - |N[v] ∩ D|), is k*n - popcount(cover).  The reach rule prunes
+    an exclusion that leaves some N[w] with fewer than k members included or
+    undecided; the deficit rule prunes a branch whose deficit exceeds what
+    the remaining picks could cover.  A parent counts and tests its
+    children, so only a node with children of its own costs a call.
 
     One search serves `count` acceptance tests: `accept(mask, pending)`
     gets each coverage-passing mask and the bitmask of the tests still
@@ -235,14 +239,31 @@ def _solve(
     if n == 0:
         return [SolveResult(0, frozenset(), 0, False)] * count
     cn_max = max(len(c) for c in cn)
-    rest_mask = [(((1 << n) - 1) >> i) << i for i in range(n + 1)]
-    max_nodes = budget.max_nodes if budget else None
-    deadline = None
-    if budget and budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
+    full = (1 << n) - 1
+    nbr = [sum(1 << w for w in c) for c in cn]
+    # per vertex i: its bit, N[i] in each level, the N[w] of each w in N[i],
+    # the vertices after i, and the picks left that must take them all
+    steps = [
+        (1 << i, sum(nbr[i] << t * n for t in range(k)), tuple(nbr[w] for w in cn[i]),
+         full >> (i + 1) << (i + 1), n - i - 1)
+        for i in range(n)
+    ]
+    # the deficit rule: r picks can finish a cover with at least least[r] bits set
+    least = [k * n - r * cn_max for r in range(n + 1)]
+    budget = budget or Budget()
+    max_nodes = math.inf if budget.max_nodes is None else budget.max_nodes
+    deadline = math.inf if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+    check_at = min(max_nodes, 2047)
     results: list[SolveResult | None] = [None] * count
     pending = (1 << count) - 1  # bit i: test i has no answer yet
     nodes = 0
+
+    def tick() -> None:
+        # nodes passed check_at: past the node budget, or every 2048 nodes the clock
+        nonlocal check_at
+        if nodes > max_nodes or time.monotonic() > deadline:
+            raise _OutOfBudget
+        check_at = min(max_nodes, nodes | 2047)
 
     def emit(mask: int) -> bool:
         nonlocal pending
@@ -253,58 +274,42 @@ def _solve(
             results[:] = [result if accepted >> i & 1 else r for i, r in enumerate(results)]
         return not pending
 
-    def rec(i: int, chosen: int, mask: int) -> bool:
-        nonlocal nodes, deficit
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise _OutOfBudget
-        if deadline is not None and (nodes & 2047) == 0 and time.monotonic() > deadline:
-            raise _OutOfBudget
-        if chosen == size:
-            return deficit == 0 and emit(mask)
-        if size - chosen == n - i:
-            # forced all-include tail; reach >= k everywhere, so it covers
-            return emit(mask | rest_mask[i])
-        if deficit > (size - chosen) * cn_max:
-            return False
-        # include vertex i; reach is unchanged
-        for w in cn[i]:
-            m = mult[w]
-            mult[w] = m + 1
-            if m < k:
-                deficit -= 1
-        found = rec(i + 1, chosen + 1, mask | (1 << i))
-        for w in cn[i]:
-            m = mult[w] - 1
-            mult[w] = m
-            if m < k:
-                deficit += 1
-        if found:
+    def rec(i: int, left: int, mask: int, cover: int) -> bool:
+        # counts and tests both children of a node at vertex i with `left` picks to go
+        nonlocal nodes
+        bit, rep, nbrs, rest, tail = steps[i]
+        nodes += 1  # include vertex i; the parent's tests rule out a forced tail
+        if nodes > check_at:
+            tick()
+        # the carry chain: level t+1 gains level t's vertices in N[i], level 0 all of N[i]
+        grown = cover | (cover << n | full) & rep
+        # with no picks left, the deficit rule is the leaf test: every bit set
+        if grown.bit_count() >= least[left - 1] and (
+            emit(mask | bit) if left == 1 else rec(i + 1, left - 1, mask | bit, grown)
+        ):
             return True
-        # exclude vertex i (guard above ensures enough vertices remain)
-        ok = True
-        for w in cn[i]:
-            r = reach[w] - 1
-            reach[w] = r
-            if r < k:
-                ok = False
-        found = ok and rec(i + 1, chosen, mask)
-        for w in cn[i]:
-            reach[w] += 1
-        return found
+        # exclude vertex i unless the reach rule prunes it
+        kept = mask | rest
+        for m in nbrs:
+            if (m & kept).bit_count() < k:
+                return False
+        nodes += 1  # the parent's picks and deficit: no leaf and no deficit prune
+        if nodes > check_at:
+            tick()
+        if left == tail:  # forced all-include tail; the reach rule makes it cover
+            return emit(kept)
+        return rec(i + 1, left, mask, cover)
 
-    # rec undoes its changes on every return, and _OutOfBudget ends the
-    # search, so each size starts from this state
-    mult = [0] * n
-    reach = [len(c) for c in cn]
-    deficit = n * k
     try:
         for size in range(max(k, -(-k * n // cn_max)), n + 1):
             if not pending:
                 break
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise _OutOfBudget
-            if rec(0, 0, 0):
+            nodes += 1  # the root: a forced tail at size n, else it has children
+            if nodes > check_at:
+                tick()
+            if emit(full) if size == n else rec(0, size, 0, 0):
                 break
     except _OutOfBudget:
         pass

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
-from .graph import Graph
+from .graph import Edge, Graph
 
 
 class InvalidParametersError(ValueError):
@@ -100,6 +100,11 @@ def _rim_cycles(n: int, step: int, offset: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _igraph_edges(n: int, j: int, k: int) -> list[Edge]:
+    # outer rim, spoke and inner rim edge of each i
+    return [e for i in range(n) for e in ((i, (i + j) % n), (i, n + i), (n + i, n + (i + k) % n))]
+
+
 def igraph(n: int, j: int, k: int) -> FamilyGraph:
     """I(n, j, k): outer rim at step j, inner rim at step k, plus the n spokes.
 
@@ -107,13 +112,8 @@ def igraph(n: int, j: int, k: int) -> FamilyGraph:
     cycles and the graph is cubic on 2n vertices.
     """
     validate_params(n, j, k)
-    edges: list[tuple[int, int]] = []
-    for i in range(n):
-        edges.append((i, (i + j) % n))
-        edges.append((i, n + i))
-        edges.append((n + i, n + (i + k) % n))
     return FamilyGraph(
-        graph=Graph(2 * n, edges),
+        graph=Graph(2 * n, _igraph_edges(n, j, k)),
         n=n,
         j=j,
         k=k,
@@ -136,10 +136,11 @@ def _check_components(m: int) -> None:
 def k4_union(m: int) -> Graph:
     """Disjoint union of m complete graphs on 4 vertices (component c = 4c..4c+3)."""
     _check_components(m)
-    edges = [
-        (4 * c + a, 4 * c + b) for c in range(m) for a in range(4) for b in range(a + 1, 4)
-    ]
-    return Graph(4 * m, edges)
+    return Graph(4 * m, _k4_union_edges(m))
+
+
+def _k4_union_edges(m: int) -> list[Edge]:
+    return [(4 * c + a, 4 * c + b) for c in range(m) for a in range(4) for b in range(a + 1, 4)]
 
 
 # kind -> (parameter count, vertices per unit of the first parameter,
@@ -187,8 +188,13 @@ class FamilyInfo:
     def vertices(self) -> int:
         return _FAMILIES[self.kind][1] * self.params[0]
 
+    def edges(self) -> tuple[Edge, ...]:
+        """The family graph's edges, canonical and sorted as in `Graph.edges`."""
+        raw = _k4_union_edges(*self.params) if self.njk is None else _igraph_edges(*self.njk)
+        return tuple(sorted((a, b) if a < b else (b, a) for a, b in raw))
+
     def graph(self) -> Graph:
-        return k4_union(*self.params) if self.njk is None else igraph(*self.njk).graph
+        return Graph(self.vertices, self.edges())
 
     def header(self) -> str:
         return "# family " + " ".join((self.kind, *map(str, self.params)))

@@ -105,7 +105,7 @@ def _read(text: str, signed: bool | None) -> tuple[Graph, dict[Edge, int], Famil
     graph = Graph(n, edges)
     # u/v labels and the header written back out name the family's graph,
     # so the edges must be exactly that graph's, not only as many vertices
-    if family is not None and graph != family.graph():
+    if family is not None and graph.edges != family.edges():
         raise EdgeListFormatError(
             f"line {header_ln}: edges are not those of {family.header()[2:]}"
         )

@@ -32,23 +32,17 @@ from sigdom import (
     switch,
     switching_equivalent,
 )
+from sigdom.families import family_cases
 
 MAX_SWEEP_N = 60
 
 
 def all_instances(max_n, igraph_step_cap=5):
-    """Every valid (n, j, k) with n <= max_n: all Petersen steps, I-graph
-    steps up to the cap."""
-    out = []
-    for n in range(3, max_n + 1):
-        for k in range(1, (n - 1) // 2 + 1):
-            out.append((n, 1, k))
-    for n in range(3, max_n + 1):
-        for j in range(2, igraph_step_cap + 1):
-            for k in range(j, igraph_step_cap + 1):
-                if 2 * k < n:
-                    out.append((n, j, k))
-    return out
+    """Every valid (n, j, k) with n <= max_n: all Petersen steps, then the
+    I-graph steps up to the cap."""
+    ns = range(3, max_n + 1)
+    steps = range(2, igraph_step_cap + 1)
+    return [*family_cases(ns, [1], range(1, max_n)), *family_cases(ns, steps, steps)]
 
 
 def report(num, label, failures, elapsed=None, cap=None):

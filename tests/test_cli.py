@@ -162,6 +162,15 @@ def test_sign_from_explicit_file(tmp_path, cube_file, capsys):
     assert len(s.negative_edges()) == 12
 
 
+def test_sign_accepts_a_signed_file_as_its_graph(tmp_path, cube_file, cube_signed, capsys):
+    # the sign column of the input is dropped: re-signing a .sig names the same graph
+    negative = tmp_path / "neg.sig"
+    run(capsys, "sign", str(cube_file), "--random", "1", "--seed", "3", "-o", str(negative))
+    code, out, err = run(capsys, "sign", str(negative), "--all-positive")
+    assert (code, err) == (0, "")
+    assert out == cube_signed.read_text()
+
+
 # ---------------------------------------------------------------- verify
 
 

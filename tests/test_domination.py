@@ -364,6 +364,32 @@ def test_wide_batch_equals_solo_solves_field_for_field():
     assert outcomes == {False, True}
 
 
+@settings(max_examples=60)
+@given(helpers.graphs(min_n=1, max_n=12), st.integers(1, 3), st.integers(1, 5), st.data())
+def test_node_budget_of_the_full_count_is_exact(data, k, count, pick):
+    # with N the unbudgeted node count, max_nodes=N changes nothing, and
+    # max_nodes=N-1 stops at node N: the answers found before it stand
+    n, edges = data
+    g = Graph(n, edges)
+    if any(len(nbrs) + 1 < k for nbrs in g.adj):
+        return
+    sigs = [
+        SignedGraph(g, {e: pick.draw(st.sampled_from((1, -1))) for e in edges})
+        for _ in range(count)
+    ]
+    for solve in (
+        lambda budget: [min_k_tuple_dominating(g, k, budget)],
+        lambda budget: min_signed_dds_many(g, sigs, k, budget),
+    ):
+        full = solve(None)
+        spent = max(r.nodes_explored for r in full)
+        assert solve(Budget(max_nodes=spent)) == full
+        cut = SolveResult(None, None, spent, True)
+        assert solve(Budget(max_nodes=spent - 1)) == [
+            r if r.nodes_explored < spent else cut for r in full
+        ]
+
+
 @given(helpers.graphs(min_n=1, max_n=8), st.integers(1, 70), st.data())
 def test_batch_acceptor_matches_bfs_balance_of_each_cut(data, count, pick):
     n, edges = data
