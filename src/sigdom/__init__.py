@@ -10,7 +10,6 @@ from .constructions import (
     construct_igraph,
     construct_pn1,
     construct_pn1_tight,
-    sweep_cases,
     upper_bound,
 )
 from .domination import (

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -70,6 +71,8 @@ def _load(args, path: str) -> str:
 
 def _seed(args) -> int:
     """Print the seed and record it as the report's `seed`."""
+    if args.seed < 0:
+        raise InvalidParametersError(f"--seed must be >= 0, got {args.seed}")
     _say(args, f"seed: {args.seed}")
     args.report_seed = args.seed
     return args.seed
@@ -370,13 +373,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     """Dispatch a subcommand; with --json, print its one report.
 
     Each `cmd_*` returns (exit code, results) and reads its inputs and seed
     through `_load` and `_seed`, which fill the report's `inputs` and `seed`.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.inputs, args.report_seed = {}, None
     started = time.perf_counter()
     try:

@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 from .families import (
     InvalidParametersError,
-    family_cases,
     igraph,
     inner_blocks,
     petersen,
@@ -170,17 +168,3 @@ def construct_family(n: int, j: int, k: int) -> ConstructionResult:
     if k == 1:
         return construct_pn1(n)
     return construct_gcd1(n, k) if gcd(n, k) == 1 else construct_gcd_d(n, k)
-
-
-def sweep_cases(
-    max_n: int, petersen_k_max: int = 6, igraph_k_max: int = 5
-) -> Iterator[tuple[int, int, int]]:
-    """All valid (n, j, k) family parameters up to max_n, deterministic order.
-
-    Every P(n, k) with k <= petersen_k_max (P(n, 1) always) comes first, then
-    every I(n, j, k) with 2 <= j <= k <= igraph_k_max.
-    """
-    ns = range(3, max_n + 1)
-    yield from family_cases(ns, (1,), range(1, max(petersen_k_max, 1) + 1))
-    steps = range(2, igraph_k_max + 1)
-    yield from family_cases(ns, steps, steps)

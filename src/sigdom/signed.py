@@ -196,8 +196,11 @@ def random_signature(graph: Graph, seed: int, p_neg: float = 0.5) -> SignedGraph
 
     Uses the Mersenne Twister (`random.Random`) with one `random()` draw per
     edge in canonical edge order, so a (graph, seed, p_neg) triple fixes the
-    output on every platform.
+    output on every platform.  A negative seed is refused, since
+    `random.Random(-s)` seeds exactly like `random.Random(s)`.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= p_neg <= 1.0:
         raise ValueError(f"p_neg must lie in [0, 1], got {p_neg}")
     rng = random.Random(seed)

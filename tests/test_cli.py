@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,10 +14,10 @@ from sigdom import (
     Graph,
     read_edge_list,
     read_signed_edge_list,
-    sweep_cases,
 )
+from sigdom import cli
 from sigdom.cli import _sweep_rows, build_parser, main
-from sigdom.families import _FAMILIES
+from sigdom.families import _FAMILIES, family_cases
 
 
 def run(capsys, *argv):
@@ -146,6 +149,25 @@ def test_sign_prints_seed(cube_file, capsys):
     code, out, _ = run(capsys, "sign", str(cube_file), "--random", "0.5")
     assert code == 0
     assert "seed: 1729" in out  # the documented default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sign", "GRAPH", "--random", "0.5", "--seed", "-3", "-o", "OUT"],
+        ["construct", "P", "5", "2", "--seed", "-2", "--signatures", "5"],
+        ["sweep", "--n", "5..6", "--seed", "-4", "-o", "OUT"],
+    ],
+)
+def test_negative_seed_is_usage_error(argv, tmp_path, cube_file, capsys):
+    # Random(-s) seeds like Random(s): a negative seed would name another seed's draws
+    out_file = tmp_path / "out"
+    argv = [{"GRAPH": str(cube_file), "OUT": str(out_file)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    seed = argv[argv.index("--seed") + 1]
+    assert code == 2 and out == ""
+    assert err == f"error: --seed must be >= 0, got {seed}\n"
+    assert not out_file.exists()
 
 
 def test_sign_from_explicit_file(tmp_path, cube_file, capsys):
@@ -489,7 +511,9 @@ def test_sweep_rows_match_sweep_cases(max_n, k_max):
     args = build_parser().parse_args(
         ["sweep", "--n", f"3..{max_n}", "--k", f"1..{k_max}", "--j", f"2..{k_max}"]
     )
-    assert _sweep_rows(args) == list(sweep_cases(max_n, k_max, k_max))
+    ns, steps = range(3, max_n + 1), range(2, k_max + 1)
+    expected = [*family_cases(ns, (1,), range(1, k_max + 1)), *family_cases(ns, steps, steps)]
+    assert _sweep_rows(args) == expected
 
 
 # ------------------------------------------------------------------ misc
@@ -512,3 +536,56 @@ def test_json_suppresses_prose(cube_signed, capsys):
     code, out, _ = run(capsys, "solve", str(cube_signed), "--json")
     payload = json.loads(out)  # the whole stdout must be one JSON document
     assert payload["results"]["value"] == 4
+
+
+# ----------------------------------------------------------- parser reuse
+
+
+def test_reused_parser_keeps_no_flags(tmp_path, cube_file, capsys):
+    sig = tmp_path / "p41.sig"
+    code, _, _ = run(
+        capsys, "sign", str(cube_file), "--random", "0.5", "--seed", "7", "-o", str(sig), "--json"
+    )
+    assert code == 0 and sig.exists()
+    written = sig.read_text()
+    code, out, _ = run(capsys, "sign", str(cube_file), "--random", "0.5")
+    assert code == 0
+    assert out.startswith("seed: 1729\n# family P 4 1\n")  # default seed, text, stdout
+    assert sig.read_text() == written
+
+    code, out, _ = run(capsys, "solve", str(sig), "--max-nodes", "1")
+    assert code == 3 and "limits_hit: true" in out
+    code, out, _ = run(capsys, "solve", str(sig))
+    assert code == 0 and "limits_hit: false" in out
+
+    code, _, _ = run(capsys, "gen", "X", "5")
+    assert code == 2
+    code, out, _ = run(capsys, "gen", "P", "5", "2")
+    assert code == 0 and out.startswith("# family P 5 2\n")
+
+
+def test_main_builds_one_parser(monkeypatch, cube_signed, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(capsys, "gen", "P", "5", "2")[0] == 0
+            assert run(capsys, "balance", str(cube_signed))[0] == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_parser_is_built_on_first_main_call_not_at_import():
+    code = subprocess.run(
+        [sys.executable, "-c", "import sigdom.cli as c; assert c._parser.cache_info().currsize == 0"],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    ).returncode
+    assert code == 0
+    assert build_parser() is not build_parser()

@@ -23,9 +23,9 @@ from sigdom import (
     min_signed_dds,
     petersen,
     random_signature,
-    sweep_cases,
     upper_bound,
 )
+from sigdom.families import family_cases
 
 
 def check_universal(n, j, k, result, seeds=range(12)):
@@ -293,8 +293,14 @@ def test_gcd1_bound_within_three_halves(params):
 
 
 def test_sweep_cases_deterministic_and_valid():
-    first = list(sweep_cases(12))
-    assert first == list(sweep_cases(12))
+    # every P(n, k) with k <= 6, then every I(n, j, k) with 2 <= j <= k <= 5
+    ns, steps = range(3, 13), range(2, 6)
+
+    def cases():
+        return [*family_cases(ns, (1,), range(1, 7)), *family_cases(ns, steps, steps)]
+
+    first = cases()
+    assert first == cases()
     assert (3, 1, 1) in first
     assert (12, 1, 5) in first
     assert (12, 2, 2) in first
@@ -304,7 +310,8 @@ def test_sweep_cases_deterministic_and_valid():
 
 
 def test_sweep_cases_k_caps():
-    cases = set(sweep_cases(30, petersen_k_max=4, igraph_k_max=3))
+    ns = range(3, 31)
+    cases = {*family_cases(ns, (1,), range(1, 5)), *family_cases(ns, range(2, 4), range(2, 4))}
     assert all(k <= 4 for n, j, k in cases if j == 1)
     assert all(j <= 3 and k <= 3 for n, j, k in cases if j >= 2)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +218,13 @@ def test_random_signature_extremes():
     assert random_signature(g, seed=0, p_neg=0.0) == all_positive(g)
     allneg = random_signature(g, seed=0, p_neg=1.0)
     assert allneg.negative_edges() == g.edges
+
+
+def test_random_signature_rejects_negative_seed():
+    g = Graph(18, helpers.petersen_edges(9, 2))
+    assert random.Random(-3).random() == random.Random(3).random()  # why it is refused
+    with pytest.raises(ValueError, match="seed"):
+        random_signature(g, seed=-3)
 
 
 def test_random_signature_rejects_bad_probability():
