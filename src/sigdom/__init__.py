@@ -3,11 +3,9 @@
 from .constructions import (
     BoundReport,
     ConstructionResult,
-    build_family,
     construct_family,
     construct_gcd1,
     construct_gcd_d,
-    construct_igraph,
     construct_pn1,
     construct_pn1_tight,
     upper_bound,
@@ -40,7 +38,6 @@ from .fileio import (
     write_signed_edge_list,
 )
 from .families import (
-    FamilyGraph,
     FamilyInfo,
     InvalidParametersError,
     igraph,

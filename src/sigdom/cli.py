@@ -17,14 +17,9 @@ import time
 from math import gcd
 from pathlib import Path
 
-from .constructions import (
-    build_family,
-    construct_family,
-    construct_pn1_tight,
-    upper_bound,
-)
+from .constructions import construct_family, construct_pn1_tight, upper_bound
 from .domination import Budget, InfeasibleError, is_signed_dds, min_signed_dds
-from .families import _FAMILIES, FamilyInfo, InvalidParametersError, family_cases
+from .families import _FAMILIES, FamilyInfo, InvalidParametersError, family_cases, igraph
 from .fileio import (
     format_vertex_set,
     parse_vertex_spec,
@@ -84,7 +79,7 @@ def _cycle_text(cycle: tuple[int, ...], family: FamilyInfo | None) -> str:
 
 def cmd_gen(args) -> tuple[int, dict]:
     family = FamilyInfo(args.family, tuple(args.params))
-    graph = family.graph()
+    graph = family.graph
     _write_out(args, write_edge_list(graph, family))
     return EXIT_OK, {"n": graph.n, "m": len(graph.edges), "family": family.header()[2:]}
 
@@ -176,7 +171,7 @@ def cmd_construct(args) -> tuple[int, dict]:
         checks.append(f"all_positive_dds={'ok' if ok else 'FAIL'}")
     else:
         result = construct_family(n, j, k)
-        graph = family.graph()
+        graph = family.graph
         seed = _seed(args)
         ok = True
         for i in range(args.signatures):
@@ -221,13 +216,15 @@ def cmd_solve(args) -> tuple[int, dict]:
 
 
 def _parse_range(spec: str) -> range:
-    lo, _, hi = spec.partition("..")
-    try:
-        a = int(lo)
-        b = int(hi) if hi else a
-    except ValueError:
-        raise InvalidParametersError(f"bad range {spec!r} (expected A or A..B)") from None
-    return range(a, b + 1)
+    """`A` or `A..B` with decimal bounds and A <= B, as the inclusive range A..B."""
+    lo, dots, hi = spec.partition("..")
+    if not dots:
+        hi = lo
+    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+        raise InvalidParametersError(
+            f"bad range {spec!r} (expected A or A..B with decimal A <= B)"
+        )
+    return range(int(lo), int(hi) + 1)
 
 
 def _sweep_rows(args) -> list[tuple[int, int, int]]:
@@ -249,6 +246,7 @@ def _instance_seed(seed: int, n: int, j: int, k: int) -> int:
 
 
 def cmd_sweep(args) -> tuple[int, dict]:
+    cases = _sweep_rows(args)  # a bad range is refused before the seed is printed
     seed = _seed(args)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -269,16 +267,16 @@ def cmd_sweep(args) -> tuple[int, dict]:
     )
     all_ok = True
     rows = []
-    for n, j, k in _sweep_rows(args):
-        fg = build_family(n, j, k)
+    for n, j, k in cases:
+        graph = igraph(n, j, k).graph
         result = construct_family(n, j, k)
         bound = upper_bound(n, j, k).value
-        lower = fg.graph.n // 2
+        lower = graph.n // 2
         solver_value: int | str = ""
         sandwich: bool | str = ""
-        if fg.graph.n <= args.solver_cap:
+        if graph.n <= args.solver_cap:
             solved = min_signed_dds(
-                random_signature(fg.graph, _instance_seed(seed, n, j, k), 0.5),
+                random_signature(graph, _instance_seed(seed, n, j, k), 0.5),
                 max_vertices=args.solver_cap,
             )
             solver_value = solved.value

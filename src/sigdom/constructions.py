@@ -7,17 +7,11 @@ forest, so the set double dominates under *every* signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from .families import (
-    InvalidParametersError,
-    igraph,
-    inner_blocks,
-    petersen,
-    validate_params,
-)
+from .families import InvalidParametersError, inner_blocks, petersen, validate_params
 from .signed import SignedGraph, all_positive
 
 
@@ -115,25 +109,6 @@ def construct_gcd_d(n: int, k: int) -> ConstructionResult:
     return ConstructionResult(frozenset(members), size, "gcd_d", True)
 
 
-def construct_igraph(n: int, j: int, k: int) -> ConstructionResult:
-    """The same inner-rim selections double dominate I(n, j, k) for any j.
-
-    The outer step j never matters: outer vertices are all selected, and a
-    cut cycle would have to live on the inner rim, where two adjacent
-    unselected vertices always break it.
-    """
-    validate_params(n, j, k)
-    if gcd(n, k) == 1:
-        if k < 2:
-            raise InvalidParametersError(
-                f"the gcd 1 case needs k >= 2, got n={n} k={k}"
-            )
-        base, tag = construct_gcd1(n, k), "igraph_gcd1"
-    else:
-        base, tag = construct_gcd_d(n, k), "igraph_gcd_d"
-    return ConstructionResult(base.dds, base.claimed_size, tag, True)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Closed-form upper bound; `relaxed_three_halves` carries the uniform
@@ -157,14 +132,20 @@ def upper_bound(n: int, j: int, k: int) -> BoundReport:
     return BoundReport(n + d * -(-n // (3 * d)))
 
 
-build_family = igraph  # P(n, k) is I(n, 1, k)
-
-
 def construct_family(n: int, j: int, k: int) -> ConstructionResult:
-    """Dispatch to the construction matching (n, j, k)."""
+    """Dispatch to the construction matching (n, j, k).
+
+    The inner-rim selections of P(n, k) double dominate I(n, j, k) for any
+    j, tagged `igraph_gcd1` or `igraph_gcd_d` when j >= 2.  The outer step
+    never matters: outer vertices are all selected, and a cut cycle would
+    have to live on the inner rim, where two adjacent unselected vertices
+    always break it.
+    """
     validate_params(n, j, k)
-    if j != 1:
-        return construct_igraph(n, j, k)
-    if k == 1:
+    if k == 1:  # so j == 1 too
         return construct_pn1(n)
-    return construct_gcd1(n, k) if gcd(n, k) == 1 else construct_gcd_d(n, k)
+    coprime = gcd(n, k) == 1
+    result = construct_gcd1(n, k) if coprime else construct_gcd_d(n, k)
+    if j == 1:
+        return result
+    return replace(result, case_tag="igraph_gcd1" if coprime else "igraph_gcd_d")

@@ -313,6 +313,8 @@ def _solve(
                 break
     except _OutOfBudget:
         pass
+    finally:
+        del rec  # rec's cell holds rec: drop the cycle so the search state dies here
     unresolved = SolveResult(None, None, nodes, True)
     return [unresolved if r is None else r for r in results]
 

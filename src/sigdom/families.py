@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
@@ -12,36 +13,6 @@ from .graph import Edge, Graph
 
 class InvalidParametersError(ValueError):
     """Family parameters outside the validity range."""
-
-
-@dataclass(frozen=True)
-class FamilyGraph:
-    """A rim-and-spoke graph with its fixed labeling.
-
-    Outer vertex u_i is index i and inner vertex v_i is index n+i, forever.
-    `outer_cycles` / `inner_cycles` list the rim cycles in index form, each
-    starting at its smallest vertex and following the +step progression.
-    """
-
-    graph: Graph
-    n: int
-    j: int
-    k: int
-    spokes: tuple[tuple[int, int], ...]
-    outer_cycles: tuple[tuple[int, ...], ...]
-    inner_cycles: tuple[tuple[int, ...], ...]
-
-    def u(self, i: int) -> int:
-        return i % self.n
-
-    def v(self, i: int) -> int:
-        return self.n + (i % self.n)
-
-    def label(self, index: int) -> str:
-        return index_to_label(index, self.n)
-
-    def index_of(self, label: str) -> int:
-        return label_to_index(label, self.n)
 
 
 _LABEL_RE = re.compile(r"^([uv])(\d+)$")
@@ -93,50 +64,9 @@ def family_cases(
                     yield (n, j, k)
 
 
-def _rim_cycles(n: int, step: int, offset: int) -> tuple[tuple[int, ...], ...]:
-    d = gcd(n, step)
-    return tuple(
-        tuple(offset + (r + t * step) % n for t in range(n // d)) for r in range(d)
-    )
-
-
 def _igraph_edges(n: int, j: int, k: int) -> list[Edge]:
     # outer rim, spoke and inner rim edge of each i
     return [e for i in range(n) for e in ((i, (i + j) % n), (i, n + i), (n + i, n + (i + k) % n))]
-
-
-def igraph(n: int, j: int, k: int) -> FamilyGraph:
-    """I(n, j, k): outer rim at step j, inner rim at step k, plus the n spokes.
-
-    Requires 1 <= j <= k, 2j < n, and 2k < n so that the rims are simple
-    cycles and the graph is cubic on 2n vertices.
-    """
-    validate_params(n, j, k)
-    return FamilyGraph(
-        graph=Graph(2 * n, _igraph_edges(n, j, k)),
-        n=n,
-        j=j,
-        k=k,
-        spokes=tuple((i, n + i) for i in range(n)),
-        outer_cycles=_rim_cycles(n, j, 0),
-        inner_cycles=_rim_cycles(n, k, n),
-    )
-
-
-def petersen(n: int, k: int) -> FamilyGraph:
-    """P(n, k) = I(n, 1, k): one outer n-cycle, inner rim at step k."""
-    return igraph(n, 1, k)
-
-
-def _check_components(m: int) -> None:
-    if m < 1:
-        raise InvalidParametersError(f"need at least one component, got m={m}")
-
-
-def k4_union(m: int) -> Graph:
-    """Disjoint union of m complete graphs on 4 vertices (component c = 4c..4c+3)."""
-    _check_components(m)
-    return Graph(4 * m, _k4_union_edges(m))
 
 
 def _k4_union_edges(m: int) -> list[Edge]:
@@ -168,10 +98,10 @@ class FamilyInfo:
                 f"family {self.kind} expects {arity} parameter{'s' * (arity != 1)}, "
                 f"got {len(self.params)}"
             )
-        if self.njk is None:
-            _check_components(self.params[0])
-        else:
+        if self.njk is not None:
             validate_params(*self.njk)
+        elif self.params[0] < 1:
+            raise InvalidParametersError(f"need at least one component, got m={self.params[0]}")
 
     @property
     def njk(self) -> tuple[int, int, int] | None:
@@ -188,16 +118,39 @@ class FamilyInfo:
     def vertices(self) -> int:
         return _FAMILIES[self.kind][1] * self.params[0]
 
+    def _raw_edges(self) -> list[Edge]:
+        return _k4_union_edges(*self.params) if self.njk is None else _igraph_edges(*self.njk)
+
     def edges(self) -> tuple[Edge, ...]:
         """The family graph's edges, canonical and sorted as in `Graph.edges`."""
-        raw = _k4_union_edges(*self.params) if self.njk is None else _igraph_edges(*self.njk)
-        return tuple(sorted((a, b) if a < b else (b, a) for a, b in raw))
+        return tuple(sorted((a, b) if a < b else (b, a) for a, b in self._raw_edges()))
 
+    @cached_property
     def graph(self) -> Graph:
-        return Graph(self.vertices, self.edges())
+        """The family graph, built on first access; u_i is index i and v_i is n+i."""
+        return Graph(self.vertices, self._raw_edges())
 
     def header(self) -> str:
         return "# family " + " ".join((self.kind, *map(str, self.params)))
+
+
+def igraph(n: int, j: int, k: int) -> FamilyInfo:
+    """I(n, j, k): outer rim at step j, inner rim at step k, plus the n spokes.
+
+    Requires 1 <= j <= k, 2j < n, and 2k < n so that the rims are simple
+    cycles and the graph is cubic on 2n vertices.
+    """
+    return FamilyInfo("I", (n, j, k))
+
+
+def petersen(n: int, k: int) -> FamilyInfo:
+    """P(n, k) = I(n, 1, k): one outer n-cycle, inner rim at step k."""
+    return FamilyInfo("P", (n, k))
+
+
+def k4_union(m: int) -> Graph:
+    """Disjoint union of m complete graphs on 4 vertices (component c = 4c..4c+3)."""
+    return FamilyInfo("K4U", (m,)).graph
 
 
 def inner_blocks(n: int, k: int) -> tuple[frozenset[int], ...]:

@@ -14,11 +14,11 @@ from sigdom import (
     Graph,
     all_positive,
     analyze_half_dds,
-    build_family,
     construct_family,
     construct_pn1_tight,
     cubic_lower_bound,
     cut_subgraph,
+    igraph,
     is_balanced,
     is_forest,
     is_k_tuple_dominating,
@@ -73,7 +73,7 @@ def test_criterion_2_universality_sweep():
     started = time.perf_counter()
     failures = []
     for n, j, k in all_instances(MAX_SWEEP_N):
-        fam = build_family(n, j, k)
+        fam = igraph(n, j, k)
         r = construct_family(n, j, k)
         for seed in range(100):
             sig = random_signature(fam.graph, seed=seed)
@@ -90,7 +90,7 @@ def test_criterion_3_solver_sandwich():
     started = time.perf_counter()
     failures = []
     for n, j, k in all_instances(12):
-        fam = build_family(n, j, k)
+        fam = igraph(n, j, k)
         r = construct_family(n, j, k)
         low = cubic_lower_bound(fam.graph)
         sigs = [random_signature(fam.graph, seed=s) for s in range(20)]

@@ -100,7 +100,7 @@ def test_gen_and_header_read_share_one_rule(kind, tmp_path, capsys):
     graph, info = read_edge_list(path.read_text())
     expected = FamilyInfo(kind, good)
     assert info == expected
-    assert graph == expected.graph()
+    assert graph == expected.graph
     assert graph.n == info.vertices
 
     code, out, err = run(capsys, "gen", kind, *map(str, bad))
@@ -506,10 +506,31 @@ def test_sweep_row_does_not_depend_on_the_range(capsys):
     assert wide == rows("8..12")
 
 
+@pytest.mark.parametrize(
+    "flag,spec",
+    [("--n", "5.."), ("--n", "1_0"), ("--n", "+7"), ("--n", "7..5"), ("--n", ""),
+     ("--k", "..2"), ("--k", "1..2..3"), ("--j", "-1..3"), ("--j", " 2..3")],
+)
+def test_sweep_refuses_bad_range(flag, spec, tmp_path, capsys):
+    # refused before any output, the seed line included
+    out_file = tmp_path / "t.csv"
+    code, out, err = run(capsys, "sweep", f"{flag}={spec}", "-o", str(out_file))
+    assert code == 2 and out == ""
+    assert err == f"error: bad range {spec!r} (expected A or A..B with decimal A <= B)\n"
+    assert not out_file.exists()
+
+
+def test_sweep_single_value_is_a_one_value_range(capsys):
+    code, one, _ = run(capsys, "sweep", "--family", "P", "--n", "7", "--k", "2")
+    assert code == 0 and "\nP,7,1,2," in one
+    assert one == run(capsys, "sweep", "--family", "P", "--n", "7..7", "--k", "2..2")[1]
+
+
 @pytest.mark.parametrize("max_n,k_max", [(3, 1), (12, 4), (20, 6)])
 def test_sweep_rows_match_sweep_cases(max_n, k_max):
     args = build_parser().parse_args(
-        ["sweep", "--n", f"3..{max_n}", "--k", f"1..{k_max}", "--j", f"2..{k_max}"]
+        # an inverted --j like 2..1 is a usage error; j = 2 > k adds no row either way
+        ["sweep", "--n", f"3..{max_n}", "--k", f"1..{k_max}", "--j", f"2..{max(k_max, 2)}"]
     )
     ns, steps = range(3, max_n + 1), range(2, k_max + 1)
     expected = [*family_cases(ns, (1,), range(1, k_max + 1)), *family_cases(ns, steps, steps)]

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from sigdom import (
     InvalidParametersError,
     all_positive,
-    build_family,
     construct_family,
     construct_gcd1,
     construct_gcd_d,
-    construct_igraph,
     construct_pn1,
     construct_pn1_tight,
     cut_subgraph,
     cycle_decomposition,
     igraph,
+    index_to_label,
     is_forest,
     is_signed_dds,
     min_signed_dds,
@@ -30,7 +29,7 @@ from sigdom.families import family_cases
 
 def check_universal(n, j, k, result, seeds=range(12)):
     """The set must work no matter how the edges are signed."""
-    fam = build_family(n, j, k)
+    fam = igraph(n, j, k)
     assert len(result.dds) == result.claimed_size
     for seed in seeds:
         sig = random_signature(fam.graph, seed=seed)
@@ -46,7 +45,7 @@ def check_universal(n, j, k, result, seeds=range(12)):
 def test_pn1_odd_membership():
     fam = petersen(5, 1)
     r = construct_pn1(5)
-    labels = {fam.label(i) for i in r.dds}
+    labels = {index_to_label(i, fam.n) for i in r.dds}
     assert labels == {"u0", "v0", "u2", "v2", "u3", "u4"}
     assert r.claimed_size == 6
     assert r.case_tag == "P_odd_1"
@@ -55,7 +54,7 @@ def test_pn1_odd_membership():
 def test_pn1_even_membership():
     fam = petersen(6, 1)
     r = construct_pn1(6)
-    labels = {fam.label(i) for i in r.dds}
+    labels = {index_to_label(i, fam.n) for i in r.dds}
     assert labels == {"u0", "v0", "u2", "v2", "u4", "v4", "u5", "v5"}
     assert r.claimed_size == 8
     assert r.case_tag == "P_even_1"
@@ -64,14 +63,14 @@ def test_pn1_even_membership():
 def test_pn1_smallest_even_membership():
     fam = petersen(4, 1)
     r = construct_pn1(4)
-    assert {fam.label(i) for i in r.dds} == {"u0", "v0", "u2", "v2", "u3", "v3"}
+    assert {index_to_label(i, fam.n) for i in r.dds} == {"u0", "v0", "u2", "v2", "u3", "v3"}
     assert r.claimed_size == 6
 
 
 def test_pn1_triangle_prism_membership():
     fam = petersen(3, 1)
     r = construct_pn1(3)
-    assert {fam.label(i) for i in r.dds} == {"u0", "v0", "u1", "u2"}
+    assert {index_to_label(i, fam.n) for i in r.dds} == {"u0", "v0", "u1", "u2"}
     assert r.claimed_size == 4
 
 
@@ -110,7 +109,7 @@ def test_pn1_tight_matches_exact_minimum():
 def test_pn1_tight_smallest_membership():
     fam = petersen(4, 1)
     r, _ = construct_pn1_tight(4)
-    assert {fam.label(i) for i in r.dds} == {"u0", "v0", "u2", "v2"}
+    assert {index_to_label(i, fam.n) for i in r.dds} == {"u0", "v0", "u2", "v2"}
 
 
 def test_pn1_tight_rejects_odd():
@@ -124,7 +123,7 @@ def test_pn1_tight_rejects_odd():
 def test_gcd1_p17_2_membership():
     fam = petersen(17, 2)
     r = construct_gcd1(17, 2)
-    inner = {fam.label(i) for i in r.dds if i >= 17}
+    inner = {index_to_label(i, fam.n) for i in r.dds if i >= 17}
     assert all(i in r.dds for i in range(17))  # whole outer rim
     assert inner == {"v2", "v3", "v6", "v7", "v10", "v11", "v14", "v15"}
     assert r.claimed_size == 25  # n + mk with m = 4
@@ -134,7 +133,7 @@ def test_gcd1_p17_2_membership():
 def test_gcd1_p15_2_membership():
     fam = petersen(15, 2)
     r = construct_gcd1(15, 2)
-    inner = {fam.label(i) for i in r.dds if i >= 15}
+    inner = {index_to_label(i, fam.n) for i in r.dds if i >= 15}
     assert all(i in r.dds for i in range(15))
     assert inner == {"v2", "v3", "v6", "v7", "v10", "v11", "v14"}
     assert r.claimed_size == 22  # 2n - mk with m = 4
@@ -186,7 +185,7 @@ def test_gcd_d_p16_6_membership():
     assert r.case_tag == "gcd_d"
     assert all(i in r.dds for i in range(16))
     # every third vertex along each of the two inner 8-cycles
-    inner = {fam.label(i) for i in r.dds if i >= 16}
+    inner = {index_to_label(i, fam.n) for i in r.dds if i >= 16}
     assert inner == {"v0", "v2", "v4", "v1", "v3", "v5"}
 
 
@@ -231,7 +230,7 @@ def test_gcd_d_rejects_coprime():
 )
 def test_igraph_construction_universal(params):
     n, j, k = params
-    r = construct_igraph(n, j, k)
+    r = construct_family(n, j, k)
     assert r.case_tag in ("igraph_gcd1", "igraph_gcd_d")
     assert r.case_tag == ("igraph_gcd1" if gcd(n, k) == 1 else "igraph_gcd_d")
     check_universal(n, j, k, r)
@@ -239,8 +238,8 @@ def test_igraph_construction_universal(params):
 
 def test_igraph_construction_size_matches_petersen_case():
     # the inner-rim pattern does not care about the outer step
-    assert construct_igraph(11, 2, 3).claimed_size == construct_gcd1(11, 3).claimed_size
-    assert construct_igraph(12, 2, 3).claimed_size == construct_gcd_d(12, 3).claimed_size
+    assert construct_family(11, 2, 3).claimed_size == construct_gcd1(11, 3).claimed_size
+    assert construct_family(12, 2, 3).claimed_size == construct_gcd_d(12, 3).claimed_size
 
 
 # ------------------------------------------------------------------ bounds
@@ -305,7 +304,7 @@ def test_sweep_cases_deterministic_and_valid():
     assert (12, 1, 5) in first
     assert (12, 2, 2) in first
     for n, j, k in first:
-        fam = build_family(n, j, k)  # must not raise
+        fam = igraph(n, j, k)  # must not raise
         assert fam.graph.is_cubic
 
 
@@ -336,7 +335,7 @@ def test_parameter_rule_agrees_everywhere():
     for n in range(15):
         for j in range(-1, 8):
             for k in range(-1, 8):
-                funcs = [igraph, build_family, upper_bound, construct_family]
+                funcs = [igraph, upper_bound, construct_family]
                 verdicts = {accepts(f, n, j, k) for f in funcs}
                 if j == 1:
                     verdicts.add(accepts(petersen, n, k))

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -464,6 +466,25 @@ def test_budget_time_limit():
     r = min_signed_dds(all_positive(PETERSEN), budget=Budget(max_seconds=0.0))
     assert r.limits_hit
     assert r.value is None
+
+
+def test_solves_leave_no_cyclic_garbage():
+    # the search's recursive closure must not outlive the solve in a reference cycle
+    sig = random_signature(petersen(7, 2).graph, seed=3)
+    solves = [
+        lambda: min_signed_dds(sig),
+        lambda: min_signed_dds(sig, budget=Budget(max_nodes=5)),
+        lambda: min_k_tuple_dominating(sig.graph),
+        lambda: min_k_tuple_dominating(sig.graph, budget=Budget(max_nodes=5)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for solve in solves:
+            result = solve()
+            assert gc.collect() == 0, result
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(

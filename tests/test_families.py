@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 import helpers
 from sigdom import (
+    FamilyInfo,
     Graph,
     InvalidParametersError,
+    cycle_decomposition,
     igraph,
     index_to_label,
     inner_blocks,
@@ -32,18 +34,36 @@ def valid_injk():
 # ------------------------------------------------------------- structure
 
 
+def rims(fam):
+    """(outer rim cycles, spokes, inner rim cycles) of a u/v-labelled family graph.
+
+    Edges with both ends below n form the outer rim, edges with both ends
+    at n or above the inner rim, and the rest are spokes.  Each rim is
+    2-regular on its n vertices, so its cycle decomposition is exactly its
+    cycles, each starting at its smallest vertex.
+    """
+    n, g = fam.n, fam.graph
+    outer = Graph(g.n, [e for e in g.edges if e[1] < n])
+    inner = Graph(g.n, [e for e in g.edges if e[0] >= n])
+    assert outer.degrees() == (2,) * n + (0,) * n
+    assert inner.degrees() == (0,) * n + (2,) * n
+    spokes = tuple(e for e in g.edges if e[0] < n <= e[1])
+    return cycle_decomposition(outer).cycles, spokes, cycle_decomposition(inner).cycles
+
+
 def test_cube_is_p41():
     fam = petersen(4, 1)
     assert fam.graph == Graph(8, helpers.petersen_edges(4, 1))
-    assert fam.spokes == ((0, 4), (1, 5), (2, 6), (3, 7))
-    assert fam.outer_cycles == ((0, 1, 2, 3),)
-    assert fam.inner_cycles == ((4, 5, 6, 7),)
+    outer, spokes, inner = rims(fam)
+    assert spokes == ((0, 4), (1, 5), (2, 6), (3, 7))
+    assert outer == ((0, 1, 2, 3),)
+    assert inner == ((4, 5, 6, 7),)
 
 
 def test_petersen_graph_is_p52():
     fam = petersen(5, 2)
     assert fam.graph == Graph(10, helpers.petersen_edges(5, 2))
-    assert fam.inner_cycles == ((5, 7, 9, 6, 8),)
+    assert rims(fam)[2] == ((5, 7, 9, 6, 8),)
 
 
 @given(valid_pnk())
@@ -61,11 +81,12 @@ def test_inner_cycle_structure(params):
     n, k = params
     fam = petersen(n, k)
     d = gcd(n, k)
-    assert len(fam.inner_cycles) == d
-    assert all(len(c) == n // d for c in fam.inner_cycles)
-    covered = {v for c in fam.inner_cycles for v in c}
+    inner = rims(fam)[2]
+    assert len(inner) == d
+    assert all(len(c) == n // d for c in inner)
+    covered = {v for c in inner for v in c}
     assert covered == set(range(n, 2 * n))
-    for cyc in fam.inner_cycles:
+    for cyc in inner:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             assert fam.graph.has_edge(a, b)
 
@@ -89,10 +110,11 @@ def test_igraph_layer_swap_isomorphism(params):
 def test_igraph_rims_use_their_own_steps(params):
     n, j, k = params
     fam = igraph(n, j, k)
-    assert fam.j == j and fam.k == k
-    assert len(fam.outer_cycles) == gcd(n, j)
-    assert len(fam.inner_cycles) == gcd(n, k)
-    assert fam.spokes == tuple((i, n + i) for i in range(n))
+    assert fam.njk == (n, j, k)
+    outer, spokes, inner = rims(fam)
+    assert len(outer) == gcd(n, j)
+    assert len(inner) == gcd(n, k)
+    assert spokes == tuple((i, n + i) for i in range(n))
 
 
 # -------------------------------------------------------------- validation
@@ -119,9 +141,9 @@ def test_igraph_rejects_bad_params(n, j, k):
 def test_igraph_accepts_equal_steps():
     fam = igraph(7, 2, 2)
     assert fam.graph.is_cubic
-    assert fam.outer_cycles == fam.inner_cycles or len(fam.outer_cycles) == len(
-        fam.inner_cycles
-    )
+    # equal steps: the inner rim is the outer rim moved across the spokes
+    outer, _, inner = rims(fam)
+    assert inner == tuple(tuple(v + 7 for v in c) for c in outer)
 
 
 # ----------------------------------------------------------------- labels
@@ -151,11 +173,13 @@ def test_label_errors():
 
 def test_family_graph_accessors():
     fam = petersen(5, 2)
-    assert fam.u(2) == 2
-    assert fam.v(2) == 7
-    assert fam.u(7) == 2  # indices wrap mod n
-    assert fam.label(7) == "v2"
-    assert fam.index_of("v2") == 7
+    assert fam == FamilyInfo("P", (5, 2)) and hash(fam) == hash(FamilyInfo("P", (5, 2)))
+    assert (fam.n, fam.njk, fam.vertices) == (5, (5, 1, 2), 10)
+    assert "graph" not in vars(fam)  # built on first access, then kept
+    assert fam.graph is fam.graph
+    u2, v2 = label_to_index("u2", fam.n), label_to_index("v2", fam.n)
+    assert (u2, v2) == (2, 7) and fam.graph.has_edge(u2, v2)
+    assert index_to_label(7, fam.n) == "v2"
 
 
 # --------------------------------------------------------------- k4 union
