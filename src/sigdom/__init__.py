@@ -4,9 +4,6 @@ from .constructions import (
     BoundReport,
     ConstructionResult,
     construct_family,
-    construct_gcd1,
-    construct_gcd_d,
-    construct_pn1,
     construct_pn1_tight,
     upper_bound,
 )
@@ -49,14 +46,12 @@ from .families import (
 )
 from .graph import (
     CycleDecomposition,
-    EdgeCut,
     Graph,
     NotEvenGraphError,
     SizeLimitExceededError,
     canonical_cycle,
     cut_subgraph,
     cycle_decomposition,
-    edge_cut,
     enumerate_cycles,
     is_even,
     is_forest,

@@ -18,7 +18,13 @@ from math import gcd
 from pathlib import Path
 
 from .constructions import construct_family, construct_pn1_tight, upper_bound
-from .domination import Budget, InfeasibleError, is_signed_dds, min_signed_dds
+from .domination import (
+    Budget,
+    InfeasibleError,
+    cubic_lower_bound,
+    is_signed_dds,
+    min_signed_dds,
+)
 from .families import _FAMILIES, FamilyInfo, InvalidParametersError, family_cases, igraph
 from .fileio import (
     format_vertex_set,
@@ -64,10 +70,15 @@ def _load(args, path: str) -> str:
     return text
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    """Refuse a flag's value below `low`, naming the flag."""
+    if value < low:
+        raise InvalidParametersError(f"{flag} must be >= {low}, got {value}")
+
+
 def _seed(args) -> int:
     """Print the seed and record it as the report's `seed`."""
-    if args.seed < 0:
-        raise InvalidParametersError(f"--seed must be >= 0, got {args.seed}")
+    _at_least("--seed", args.seed, 0)
     _say(args, f"seed: {args.seed}")
     args.report_seed = args.seed
     return args.seed
@@ -158,8 +169,7 @@ def cmd_decompose_cut(args) -> tuple[int, dict]:
 
 
 def cmd_construct(args) -> tuple[int, dict]:
-    if args.signatures < 1:
-        raise InvalidParametersError(f"--signatures must be >= 1, got {args.signatures}")
+    _at_least("--signatures", args.signatures, 1)
     family = FamilyInfo(args.family, tuple(args.params))
     n, j, k = family.njk
     checks: list[str] = []
@@ -198,6 +208,7 @@ def cmd_construct(args) -> tuple[int, dict]:
 
 
 def cmd_solve(args) -> tuple[int, dict]:
+    _at_least("--max-n", args.max_n, 0)
     signed, family = read_signed_edge_list(_load(args, args.signed))
     budget = Budget(args.max_nodes, args.max_seconds)
     try:
@@ -246,7 +257,8 @@ def _instance_seed(seed: int, n: int, j: int, k: int) -> int:
 
 
 def cmd_sweep(args) -> tuple[int, dict]:
-    cases = _sweep_rows(args)  # a bad range is refused before the seed is printed
+    cases = _sweep_rows(args)  # bad flags are refused before the seed is printed
+    _at_least("--solver-cap", args.solver_cap, 0)
     seed = _seed(args)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -271,7 +283,7 @@ def cmd_sweep(args) -> tuple[int, dict]:
         graph = igraph(n, j, k).graph
         result = construct_family(n, j, k)
         bound = upper_bound(n, j, k).value
-        lower = graph.n // 2
+        lower = cubic_lower_bound(graph)
         solver_value: int | str = ""
         sandwich: bool | str = ""
         if graph.n <= args.solver_cap:

@@ -1,8 +1,9 @@
 """Closed-form double dominating sets for the rim-and-spoke families.
 
-Every constructor returns the set together with its claimed size and a case
-tag.  Except for the tight even case, the cut [D : V-D] of each set is a
-forest, so the set double dominates under *every* signature.
+`construct_family` is the entry point: it returns the set together with its
+claimed size and a case tag, and `upper_bound` is that set's size.  Except
+for the tight even case, the cut [D : V-D] of each set is a forest, so the set
+double dominates under *every* signature.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ class ConstructionResult:
     cut_forest_expected: bool
 
 
-def construct_pn1(n: int) -> ConstructionResult:
+def _pn1(n: int) -> ConstructionResult:
     """Size 2(floor(n/2)+1) set for P(n, 1): every even u/v pair plus a tail pair.
 
-    Odd n = 2m+1 finishes with {u_{2m-1}, u_{2m}}; even n = 2m with
+    Odd n = 2m+1 >= 3 finishes with {u_{2m-1}, u_{2m}}; even n = 2m with
     {u_{2m-1}, v_{2m-1}}.  Both leave the cut a disjoint union of paths.
     """
-    if n < 3:
-        raise InvalidParametersError(f"P(n,1) needs n >= 3, got n={n}")
     m = n // 2
     members = set()
     for i in range(m):
@@ -63,16 +62,12 @@ def construct_pn1_tight(n: int) -> tuple[ConstructionResult, SignedGraph]:
     return result, all_positive(petersen(n, 1).graph)
 
 
-def construct_gcd1(n: int, k: int) -> ConstructionResult:
-    """All outer vertices plus every second inner block, for gcd(n, k) = 1.
+def _gcd1(n: int, k: int) -> ConstructionResult:
+    """All outer vertices plus every second inner block, for gcd(n, k) = 1 < k, 2k < n.
 
     With t = ceil(n/k) blocks the selected blocks are V_2, V_4, ..., V_{2*(t//2)};
     the size is n + (t//2)*k for odd t and 2n - (t//2)*k for even t.
     """
-    if k < 2 or 2 * k >= n or gcd(n, k) != 1:
-        raise InvalidParametersError(
-            f"need k >= 2, 2k < n and gcd(n,k) = 1, got n={n} k={k}"
-        )
     blocks = inner_blocks(n, k)
     t = len(blocks)
     m = t // 2
@@ -87,18 +82,13 @@ def construct_gcd1(n: int, k: int) -> ConstructionResult:
     return ConstructionResult(frozenset(members), size, tag, True)
 
 
-def construct_gcd_d(n: int, k: int) -> ConstructionResult:
+def _gcd_d(n: int, k: int, d: int) -> ConstructionResult:
     """All outer vertices plus every third vertex along each inner cycle.
 
-    For d = gcd(n, k) >= 2 the inner rim splits into d cycles of length n/d;
-    picking ceil(n/(3d)) vertices spaced three steps apart on each cycle
-    yields size n + d*ceil(n/(3d)).
+    For d = gcd(n, k) >= 2 and 2k < n the inner rim splits into d cycles of
+    length n/d; picking ceil(n/(3d)) vertices spaced three steps apart on each
+    cycle yields size n + d*ceil(n/(3d)).
     """
-    d = gcd(n, k)
-    if d < 2 or 2 * k >= n:
-        raise InvalidParametersError(
-            f"need gcd(n,k) >= 2 and 2k < n, got n={n} k={k}"
-        )
     cnt = -(-n // (3 * d))
     members = set(range(n))
     for r in range(d):
@@ -107,6 +97,25 @@ def construct_gcd_d(n: int, k: int) -> ConstructionResult:
     size = n + d * cnt
     assert len(members) == size
     return ConstructionResult(frozenset(members), size, "gcd_d", True)
+
+
+def construct_family(n: int, j: int, k: int) -> ConstructionResult:
+    """The paper's construction for I(n, j, k); P(n, k) is I(n, 1, k).
+
+    The inner-rim selections of P(n, k) double dominate I(n, j, k) for any
+    j, tagged `igraph_gcd1` or `igraph_gcd_d` when j >= 2.  The outer step
+    never matters: outer vertices are all selected, and a cut cycle would
+    have to live on the inner rim, where two adjacent unselected vertices
+    always break it.
+    """
+    validate_params(n, j, k)
+    if k == 1:  # so j == 1 too
+        return _pn1(n)
+    d = gcd(n, k)
+    result = _gcd1(n, k) if d == 1 else _gcd_d(n, k, d)
+    if j == 1:
+        return result
+    return replace(result, case_tag="igraph_gcd1" if d == 1 else "igraph_gcd_d")
 
 
 @dataclass(frozen=True)
@@ -119,33 +128,8 @@ class BoundReport:
 
 
 def upper_bound(n: int, j: int, k: int) -> BoundReport:
-    """Closed-form bound on the signed double domination number of I(n, j, k)."""
-    validate_params(n, j, k)
-    if k == 1:
-        return BoundReport(2 * (n // 2 + 1))
-    d = gcd(n, k)
-    if d == 1:
-        t = -(-n // k)
-        m = t // 2
-        value = n + m * k if t % 2 else 2 * n - m * k
-        return BoundReport(value, Fraction(3 * n, 2))
-    return BoundReport(n + d * -(-n // (3 * d)))
-
-
-def construct_family(n: int, j: int, k: int) -> ConstructionResult:
-    """Dispatch to the construction matching (n, j, k).
-
-    The inner-rim selections of P(n, k) double dominate I(n, j, k) for any
-    j, tagged `igraph_gcd1` or `igraph_gcd_d` when j >= 2.  The outer step
-    never matters: outer vertices are all selected, and a cut cycle would
-    have to live on the inner rim, where two adjacent unselected vertices
-    always break it.
-    """
-    validate_params(n, j, k)
-    if k == 1:  # so j == 1 too
-        return construct_pn1(n)
-    coprime = gcd(n, k) == 1
-    result = construct_gcd1(n, k) if coprime else construct_gcd_d(n, k)
-    if j == 1:
-        return result
-    return replace(result, case_tag="igraph_gcd1" if coprime else "igraph_gcd_d")
+    """Closed-form bound on the signed double domination number of I(n, j, k):
+    the size of `construct_family(n, j, k)`, plus 3n/2 where gcd(n, k) = 1 < k."""
+    value = construct_family(n, j, k).claimed_size
+    relaxed = Fraction(3 * n, 2) if k > 1 and gcd(n, k) == 1 else None
+    return BoundReport(value, relaxed)

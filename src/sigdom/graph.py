@@ -94,27 +94,15 @@ def vertex_subset(g: Graph, members: Iterable[int]) -> frozenset[int]:
     return s
 
 
-@dataclass(frozen=True)
-class EdgeCut:
-    """The edges with exactly one endpoint in `left`."""
-
-    left: frozenset[int]
-    edges: tuple[Edge, ...]
-
-
-def edge_cut(g: Graph, members: Iterable[int]) -> EdgeCut:
-    x = vertex_subset(g, members)
-    cut = tuple(e for e in g.edges if (e[0] in x) != (e[1] in x))
-    return EdgeCut(x, cut)
-
-
 def cut_subgraph(g: Graph, members: Iterable[int]) -> Graph:
-    """Subgraph holding only the cut edges of `members`, on the same vertex set.
+    """Subgraph holding only the cut edges of `members` (the edges with exactly
+    one endpoint in it), on the same vertex set.
 
     Vertices are never renumbered; vertices untouched by the cut stay as
     isolated vertices.
     """
-    return Graph(g.n, edge_cut(g, members).edges)
+    x = vertex_subset(g, members)
+    return Graph(g.n, [e for e in g.edges if (e[0] in x) != (e[1] in x)])
 
 
 def is_even(g: Graph) -> bool:

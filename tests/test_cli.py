@@ -435,6 +435,13 @@ def test_solve_rejects_negative_or_nan_budget(cube_signed, capsys, limit):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("cap", ["-1", "-24"])
+def test_solve_refuses_negative_max_n(cube_signed, capsys, cap):
+    code, out, err = run(capsys, "solve", str(cube_signed), "--max-n", cap)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-n must be >= 0, got {cap}\n"
+
+
 # ------------------------------------------------------------------ sweep
 
 
@@ -464,6 +471,20 @@ def test_sweep_output_is_stable(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_sweep_golden_digest(tmp_path, capsys):
+    # every sweep case tag, the bounds and the solver, at the default seed
+    out_file = tmp_path / "t.csv"
+    code, _, _ = run(capsys, "sweep", "--n", "5..7", "--k", "1..2", "-o", str(out_file))
+    assert code == 0
+    text = out_file.read_bytes()
+    tags = {line.split(b",")[5] for line in text.splitlines()[1:]}
+    assert tags == {b"P_odd_1", b"P_even_1", b"gcd1_odd", b"gcd1_even", b"gcd_d",
+                    b"igraph_gcd1", b"igraph_gcd_d"}
+    assert hashlib.sha256(text).hexdigest() == (
+        "2b309bb122b1e9867433c378e71b823f9f1b46e721b31273d3f66ae3d8d9c8df"
+    )
 
 
 def test_sweep_ring_case_all_sandwich_ok(capsys):
@@ -504,6 +525,15 @@ def test_sweep_row_does_not_depend_on_the_range(capsys):
     wide = rows("3..12")
     assert len(wide) == 2
     assert wide == rows("8..12")
+
+
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+def test_sweep_refuses_negative_solver_cap(cap, tmp_path, capsys):
+    out_file = tmp_path / "t.csv"
+    code, out, err = run(capsys, "sweep", "--n", "5", "--solver-cap", cap, "-o", str(out_file))
+    assert code == 2 and out == ""  # no seed line either
+    assert err == f"error: --solver-cap must be >= 0, got {cap}\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(

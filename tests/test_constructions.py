@@ -9,9 +9,6 @@ from sigdom import (
     InvalidParametersError,
     all_positive,
     construct_family,
-    construct_gcd1,
-    construct_gcd_d,
-    construct_pn1,
     construct_pn1_tight,
     cut_subgraph,
     cycle_decomposition,
@@ -44,7 +41,7 @@ def check_universal(n, j, k, result, seeds=range(12)):
 
 def test_pn1_odd_membership():
     fam = petersen(5, 1)
-    r = construct_pn1(5)
+    r = construct_family(5, 1, 1)
     labels = {index_to_label(i, fam.n) for i in r.dds}
     assert labels == {"u0", "v0", "u2", "v2", "u3", "u4"}
     assert r.claimed_size == 6
@@ -53,7 +50,7 @@ def test_pn1_odd_membership():
 
 def test_pn1_even_membership():
     fam = petersen(6, 1)
-    r = construct_pn1(6)
+    r = construct_family(6, 1, 1)
     labels = {index_to_label(i, fam.n) for i in r.dds}
     assert labels == {"u0", "v0", "u2", "v2", "u4", "v4", "u5", "v5"}
     assert r.claimed_size == 8
@@ -62,21 +59,21 @@ def test_pn1_even_membership():
 
 def test_pn1_smallest_even_membership():
     fam = petersen(4, 1)
-    r = construct_pn1(4)
+    r = construct_family(4, 1, 1)
     assert {index_to_label(i, fam.n) for i in r.dds} == {"u0", "v0", "u2", "v2", "u3", "v3"}
     assert r.claimed_size == 6
 
 
 def test_pn1_triangle_prism_membership():
     fam = petersen(3, 1)
-    r = construct_pn1(3)
+    r = construct_family(3, 1, 1)
     assert {index_to_label(i, fam.n) for i in r.dds} == {"u0", "v0", "u1", "u2"}
     assert r.claimed_size == 4
 
 
 @given(st.integers(3, 40))
 def test_pn1_size_formula(n):
-    r = construct_pn1(n)
+    r = construct_family(n, 1, 1)
     assert r.claimed_size == 2 * (n // 2 + 1)
     assert r.cut_forest_expected
 
@@ -84,7 +81,7 @@ def test_pn1_size_formula(n):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(3, 24))
 def test_pn1_universal(n):
-    check_universal(n, 1, 1, construct_pn1(n))
+    check_universal(n, 1, 1, construct_family(n, 1, 1))
 
 
 def test_pn1_tight_even():
@@ -122,7 +119,7 @@ def test_pn1_tight_rejects_odd():
 
 def test_gcd1_p17_2_membership():
     fam = petersen(17, 2)
-    r = construct_gcd1(17, 2)
+    r = construct_family(17, 1, 2)
     inner = {index_to_label(i, fam.n) for i in r.dds if i >= 17}
     assert all(i in r.dds for i in range(17))  # whole outer rim
     assert inner == {"v2", "v3", "v6", "v7", "v10", "v11", "v14", "v15"}
@@ -132,7 +129,7 @@ def test_gcd1_p17_2_membership():
 
 def test_gcd1_p15_2_membership():
     fam = petersen(15, 2)
-    r = construct_gcd1(15, 2)
+    r = construct_family(15, 1, 2)
     inner = {index_to_label(i, fam.n) for i in r.dds if i >= 15}
     assert all(i in r.dds for i in range(15))
     assert inner == {"v2", "v3", "v6", "v7", "v10", "v11", "v14"}
@@ -147,7 +144,7 @@ def test_gcd1_p15_2_membership():
 )
 def test_gcd1_size_formula(params):
     n, k = params
-    r = construct_gcd1(n, k)
+    r = construct_family(n, 1, k)
     t = -(-n // k)
     m = t // 2
     if t % 2:
@@ -167,12 +164,7 @@ def test_gcd1_size_formula(params):
 )
 def test_gcd1_universal(params):
     n, k = params
-    check_universal(n, 1, k, construct_gcd1(n, k))
-
-
-def test_gcd1_rejects_shared_factor():
-    with pytest.raises(InvalidParametersError):
-        construct_gcd1(16, 6)
+    check_universal(n, 1, k, construct_family(n, 1, k))
 
 
 # -------------------------------------------------------------- gcd = d
@@ -180,7 +172,7 @@ def test_gcd1_rejects_shared_factor():
 
 def test_gcd_d_p16_6_membership():
     fam = petersen(16, 6)
-    r = construct_gcd_d(16, 6)
+    r = construct_family(16, 1, 6)
     assert r.claimed_size == 22  # n + d * ceil(n / (3d)) = 16 + 2 * 3
     assert r.case_tag == "gcd_d"
     assert all(i in r.dds for i in range(16))
@@ -197,7 +189,8 @@ def test_gcd_d_p16_6_membership():
 def test_gcd_d_size_formula(params):
     n, k = params
     d = gcd(n, k)
-    r = construct_gcd_d(n, k)
+    r = construct_family(n, 1, k)
+    assert r.case_tag == "gcd_d"
     assert r.claimed_size == n + d * (-(-n // (3 * d)))
     inner = sorted(i for i in r.dds if i >= n)
     assert len(inner) == d * (-(-n // (3 * d)))
@@ -211,12 +204,7 @@ def test_gcd_d_size_formula(params):
 )
 def test_gcd_d_universal(params):
     n, k = params
-    check_universal(n, 1, k, construct_gcd_d(n, k))
-
-
-def test_gcd_d_rejects_coprime():
-    with pytest.raises(InvalidParametersError):
-        construct_gcd_d(17, 2)
+    check_universal(n, 1, k, construct_family(n, 1, k))
 
 
 # --------------------------------------------------------------- I-graphs
@@ -238,8 +226,8 @@ def test_igraph_construction_universal(params):
 
 def test_igraph_construction_size_matches_petersen_case():
     # the inner-rim pattern does not care about the outer step
-    assert construct_family(11, 2, 3).claimed_size == construct_gcd1(11, 3).claimed_size
-    assert construct_family(12, 2, 3).claimed_size == construct_gcd_d(12, 3).claimed_size
+    assert construct_family(11, 2, 3).claimed_size == construct_family(11, 1, 3).claimed_size
+    assert construct_family(12, 2, 3).claimed_size == construct_family(12, 1, 3).claimed_size
 
 
 # ------------------------------------------------------------------ bounds
