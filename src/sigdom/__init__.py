@@ -17,7 +17,6 @@ from .domination import (
     WrongCardinalityError,
     analyze_half_dds,
     cubic_lower_bound,
-    domination_multiplicity,
     is_k_tuple_dominating,
     is_signed_dds,
     min_k_tuple_dominating,
@@ -29,7 +28,6 @@ from .fileio import (
     format_vertex_set,
     parse_vertex_spec,
     read_edge_list,
-    read_graph_any,
     read_signed_edge_list,
     write_edge_list,
     write_signed_edge_list,

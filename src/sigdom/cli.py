@@ -17,7 +17,7 @@ import time
 from math import gcd
 from pathlib import Path
 
-from .constructions import construct_family, construct_pn1_tight, upper_bound
+from .constructions import construct_family, construct_pn1_tight
 from .domination import (
     Budget,
     InfeasibleError,
@@ -29,7 +29,7 @@ from .families import _FAMILIES, FamilyInfo, InvalidParametersError, family_case
 from .fileio import (
     format_vertex_set,
     parse_vertex_spec,
-    read_graph_any,
+    read_edge_list,
     read_signed_edge_list,
     write_edge_list,
     write_signed_edge_list,
@@ -96,7 +96,7 @@ def cmd_gen(args) -> tuple[int, dict]:
 
 
 def cmd_sign(args) -> tuple[int, dict]:
-    graph, family = read_graph_any(_load(args, args.graph))
+    graph, family = read_edge_list(_load(args, args.graph))
     if args.all_positive:
         signed = all_positive(graph)
     elif args.signs:
@@ -151,7 +151,7 @@ def cmd_switch(args) -> tuple[int, dict]:
 
 
 def cmd_decompose_cut(args) -> tuple[int, dict]:
-    graph, family = read_graph_any(_load(args, args.graph))
+    graph, family = read_edge_list(_load(args, args.graph))
     members = parse_vertex_spec(args.set, graph.n, family)
     cut = cut_subgraph(graph, members)
     _say(args, f"cut_edges: {len(cut.edges)}")
@@ -282,7 +282,6 @@ def cmd_sweep(args) -> tuple[int, dict]:
     for n, j, k in cases:
         graph = igraph(n, j, k).graph
         result = construct_family(n, j, k)
-        bound = upper_bound(n, j, k).value
         lower = cubic_lower_bound(graph)
         solver_value: int | str = ""
         sandwich: bool | str = ""
@@ -302,7 +301,7 @@ def cmd_sweep(args) -> tuple[int, dict]:
             gcd(n, k),
             result.case_tag,
             result.claimed_size,
-            bound,
+            result.claimed_size,  # closed_form_bound: upper_bound is this size
             lower,
             solver_value,
             sandwich,

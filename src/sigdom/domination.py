@@ -103,13 +103,6 @@ class SolveResult:
         }
 
 
-def domination_multiplicity(g: Graph, members: Iterable[int], v: int) -> int:
-    """|N[v] ∩ D| for the closed neighborhood of v."""
-    d = vertex_subset(g, members)
-    g._check_vertex(v)
-    return (v in d) + sum(1 for w in g.adj[v] if w in d)
-
-
 def is_k_tuple_dominating(g: Graph, members: Iterable[int], k: int = 2) -> DdsVerdict:
     """Check |N[v] ∩ D| >= k for every vertex; reports the smallest failing vertex."""
     if k < 1:
@@ -224,6 +217,8 @@ def _solve(
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    if max_vertices < 0:
+        raise ValueError(f"max_vertices must be >= 0, got {max_vertices}")
     n = graph.n
     if n > max_vertices:
         raise SizeLimitExceededError(f"{n} vertices exceeds the solver cap of {max_vertices}")

@@ -76,12 +76,11 @@ def _header_counts(
     return ln, n
 
 
-def _read(text: str, signed: bool | None) -> tuple[Graph, dict[Edge, int], FamilyInfo | None]:
-    # signed=None takes the format from the width of the first edge row
+def _read(text: str, signed: bool) -> tuple[Graph, dict[Edge, int], FamilyInfo | None]:
+    # signed=True requires signs; False takes the format from the first edge row
     family, rows = _scan(text)
     header_ln, n = _header_counts(family, rows)
-    if signed is None:
-        signed = len(rows) > 1 and len(rows[1][1]) == 3
+    signed = signed or len(rows) > 1 and len(rows[1][1]) == 3
     width, what = (3, "'a b s'") if signed else (2, "'a b'")
     edges = []
     signs: dict[Edge, int] = {}
@@ -122,6 +121,7 @@ def _write(graph: Graph, signs: dict[Edge, int] | None, family: FamilyInfo | Non
 
 
 def read_edge_list(text: str) -> tuple[Graph, FamilyInfo | None]:
+    """Read either format, keeping only the underlying graph."""
     graph, _, family = _read(text, False)
     return graph, family
 
@@ -137,12 +137,6 @@ def read_signed_edge_list(text: str) -> tuple[SignedGraph, FamilyInfo | None]:
 
 def write_signed_edge_list(signed: SignedGraph, family: FamilyInfo | None = None) -> str:
     return _write(signed.graph, signed.signs, family)
-
-
-def read_graph_any(text: str) -> tuple[Graph, FamilyInfo | None]:
-    """Read either format, keeping only the underlying graph."""
-    graph, _, family = _read(text, None)
-    return graph, family
 
 
 def parse_vertex_spec(

@@ -45,33 +45,12 @@ class Graph:
             adj[b].append(a)
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adj[v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(x) for x in self.adj)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        if not (0 <= a < self.n and 0 <= b < self.n) or a == b:
-            return False
-        return b in self.adj[a]
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        """N[v]: the vertex v together with its neighbors."""
-        self._check_vertex(v)
-        return frozenset((v, *self.adj[v]))
-
-    def is_regular(self, d: int) -> bool:
-        return all(len(x) == d for x in self.adj)
-
     @property
     def is_cubic(self) -> bool:
-        return self.is_regular(3)
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise IndexError(f"vertex {v} out of range for n={self.n}")
+        return all(len(x) == 3 for x in self.adj)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

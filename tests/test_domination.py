@@ -19,7 +19,6 @@ from sigdom import (
     cubic_lower_bound,
     cut_subgraph,
     cycle_sign,
-    domination_multiplicity,
     is_balanced,
     is_k_tuple_dominating,
     is_signed_dds,
@@ -44,16 +43,6 @@ def w7_signed():
 
 
 # ------------------------------------------------------------ verification
-
-
-@given(helpers.graphs(), st.data())
-def test_multiplicity_matches_oracle(data, pick):
-    n, edges = data
-    g = Graph(n, edges)
-    members = set(pick.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
-    adj = helpers.closed_neighborhoods(n, edges)
-    for v in range(n):
-        assert domination_multiplicity(g, members, v) == len(adj[v] & members)
 
 
 @given(helpers.graphs(min_n=2), st.data())
@@ -442,6 +431,20 @@ def test_vertex_cap():
     with pytest.raises(SizeLimitExceededError):
         min_k_tuple_dominating(big)
     assert min_k_tuple_dominating(big, max_vertices=26).value is not None
+
+
+@pytest.mark.parametrize("graph", [PETERSEN, Graph(0)])
+def test_negative_vertex_cap_is_refused(graph):
+    # the cap is at fault, not the graph, whatever the graph's size
+    solvers = [
+        lambda cap: min_k_tuple_dominating(graph, max_vertices=cap),
+        lambda cap: min_signed_dds(all_positive(graph), max_vertices=cap),
+        lambda cap: min_signed_dds_many(graph, [all_positive(graph)], max_vertices=cap)[0],
+    ]
+    for solve in solvers:
+        with pytest.raises(ValueError, match=r"^max_vertices must be >= 0, got -1$"):
+            solve(-1)
+        assert solve(graph.n).value is not None
 
 
 def test_search_depth_ceiling():

@@ -12,7 +12,6 @@ from sigdom import (
     petersen,
     random_signature,
     read_edge_list,
-    read_graph_any,
     read_signed_edge_list,
     write_edge_list,
     write_signed_edge_list,
@@ -77,12 +76,12 @@ def test_comments_and_blank_lines_skipped():
     assert fam is None
 
 
-def test_read_graph_any_accepts_both_formats():
+def test_read_edge_list_accepts_both_formats():
     # signs are dropped on purpose: the caller wants the underlying graph
     plain = "3 2\n0 1\n1 2\n"
     signed = "3 2\n0 1 -\n1 2 +\n"
-    g1, _ = read_graph_any(plain)
-    g2, _ = read_graph_any(signed)
+    g1, _ = read_edge_list(plain)
+    g2, _ = read_edge_list(signed)
     assert g1 == g2 == Graph(3, [(0, 1), (1, 2)])
     assert not isinstance(g2, SignedGraph)
 
@@ -150,6 +149,9 @@ def test_error_messages_carry_line_numbers():
         read_edge_list("3 1\n0 9\n")
     with pytest.raises(EdgeListFormatError, match="line 2: expected 'a b'$"):
         read_edge_list("11 1\n0 1_0\n")
+    # the first edge row fixes the format, so a sign column later is an error
+    with pytest.raises(EdgeListFormatError, match="line 3: expected 'a b'$"):
+        read_edge_list("3 2\n0 1\n1 2 +\n")
 
 
 # ------------------------------------------------------------- vertex specs
