@@ -1,11 +1,9 @@
 """Signed graphs, switching and balance, and exact double domination."""
 
 from .constructions import (
-    BoundReport,
     ConstructionResult,
     construct_family,
     construct_pn1_tight,
-    upper_bound,
 )
 from .domination import (
     Budget,

@@ -301,7 +301,7 @@ def cmd_sweep(args) -> tuple[int, dict]:
             gcd(n, k),
             result.case_tag,
             result.claimed_size,
-            result.claimed_size,  # closed_form_bound: upper_bound is this size
+            result.claimed_size,  # closed_form_bound: the construction's size
             lower,
             solver_value,
             sandwich,

@@ -1,15 +1,14 @@
 """Closed-form double dominating sets for the rim-and-spoke families.
 
 `construct_family` is the entry point: it returns the set together with its
-claimed size and a case tag, and `upper_bound` is that set's size.  Except
-for the tight even case, the cut [D : V-D] of each set is a forest, so the set
-double dominates under *every* signature.
+claimed size and a case tag.  Except for the tight even case, the cut
+[D : V-D] of each set is a forest, so the set double dominates under *every*
+signature, and its size bounds the signed double domination number from above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd
 
 from .families import InvalidParametersError, inner_blocks, petersen, validate_params
@@ -116,20 +115,3 @@ def construct_family(n: int, j: int, k: int) -> ConstructionResult:
     if j == 1:
         return result
     return replace(result, case_tag="igraph_gcd1" if d == 1 else "igraph_gcd_d")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Closed-form upper bound; `relaxed_three_halves` carries the uniform
-    3n/2 bound (exact rational, never floored) where it applies."""
-
-    value: int
-    relaxed_three_halves: Fraction | None = None
-
-
-def upper_bound(n: int, j: int, k: int) -> BoundReport:
-    """Closed-form bound on the signed double domination number of I(n, j, k):
-    the size of `construct_family(n, j, k)`, plus 3n/2 where gcd(n, k) = 1 < k."""
-    value = construct_family(n, j, k).claimed_size
-    relaxed = Fraction(3 * n, 2) if k > 1 and gcd(n, k) == 1 else None
-    return BoundReport(value, relaxed)

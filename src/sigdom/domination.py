@@ -105,33 +105,47 @@ class SolveResult:
 
 def is_k_tuple_dominating(g: Graph, members: Iterable[int], k: int = 2) -> DdsVerdict:
     """Check |N[v] ∩ D| >= k for every vertex; reports the smallest failing vertex."""
+    return _k_cover(g, vertex_subset(g, members), k)
+
+
+def _k_cover(g: Graph, d: frozenset[int], k: int) -> DdsVerdict:
+    # each member u adds one to every vertex of N[u], so cnt[v] = |N[v] ∩ D|;
+    # d must be a set, or a repeated member would count twice
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    d = vertex_subset(g, members)
-    for v in range(g.n):
-        mult = (v in d) + sum(1 for w in g.adj[v] if w in d)
-        if mult < k:
-            return DdsVerdict(False, "coverage", v, mult)
-    return DdsVerdict(True)
+    cnt = [0] * g.n
+    adj = g.adj
+    for u in d:
+        cnt[u] += 1
+        for w in adj[u]:
+            cnt[w] += 1
+    if min(cnt, default=k) >= k:
+        return DdsVerdict(True)
+    v = next(v for v, c in enumerate(cnt) if c < k)
+    return DdsVerdict(False, "coverage", v, cnt[v])
 
 
 def is_signed_dds(s: SignedGraph, members: Iterable[int], k: int = 2) -> DdsVerdict:
     """Signed double domination check: coverage first, then balance of the cut.
 
     The second condition restricts the signature to the cut [D : V-D] (same
-    vertex index space) and requires it to be balanced.  The balance BFS
-    runs on the graph's own sorted adjacency with non-cut neighbours
-    skipped, so its certificate equals the one for the cut subgraph.
+    vertex index space) and requires it to be balanced.  The cut's adjacency
+    lists are built from D's members in ascending order, so each list is
+    sorted, equals the graph's own list filtered to the cut, and gives the
+    balance BFS the certificate it gives for the cut subgraph.
     """
     g = s.graph
     d = vertex_subset(g, members)
-    verdict = is_k_tuple_dominating(g, d, k)
+    verdict = _k_cover(g, d, k)
     if not verdict.ok:
         return verdict
-    cut_adj = [
-        [w for w in nbrs if w not in d] if u in d else [w for w in nbrs if w in d]
-        for u, nbrs in enumerate(g.adj)
-    ]
+    cut_adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u in sorted(d):
+        out = cut_adj[u]
+        for w in g.adj[u]:
+            if w not in d:
+                out.append(w)
+                cut_adj[w].append(u)
     cert = _bfs_balance(g.n, cut_adj, s.signs)
     if cert.balanced:
         return DdsVerdict(True)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -19,7 +18,6 @@ from sigdom import (
     min_signed_dds,
     petersen,
     random_signature,
-    upper_bound,
 )
 from sigdom.families import family_cases
 
@@ -234,24 +232,20 @@ def test_igraph_construction_size_matches_petersen_case():
 
 
 def test_upper_bound_k1():
-    assert upper_bound(7, 1, 1).value == 8
-    assert upper_bound(8, 1, 1).value == 10
-    assert upper_bound(7, 1, 1).relaxed_three_halves is None
+    assert construct_family(7, 1, 1).claimed_size == 8
+    assert construct_family(8, 1, 1).claimed_size == 10
 
 
 def test_upper_bound_gcd1_carries_relaxation():
-    b = upper_bound(17, 1, 2)
-    assert b.value == 25
-    assert b.relaxed_three_halves == Fraction(51, 2)
-    assert b.value <= b.relaxed_three_halves
-    b = upper_bound(15, 1, 2)
-    assert b.value == 22
-    assert b.relaxed_three_halves == Fraction(45, 2)
+    # gcd(n, k) = 1 < k: the construction also meets the uniform 3n/2 bound
+    for n, size in ((17, 25), (15, 22)):
+        b = construct_family(n, 1, 2).claimed_size
+        assert b == size
+        assert 2 * b <= 3 * n
 
 
 def test_upper_bound_gcd_d():
-    assert upper_bound(16, 1, 6).value == 22
-    assert upper_bound(16, 1, 6).relaxed_three_halves is None
+    assert construct_family(16, 1, 6).claimed_size == 22
 
 
 @given(
@@ -260,8 +254,10 @@ def test_upper_bound_gcd_d():
     )
 )
 def test_upper_bound_matches_construction(params):
+    # the closed-form bound is the size of the set actually built
     n, j, k = params
-    assert upper_bound(n, j, k).value == construct_family(n, j, k).claimed_size
+    result = construct_family(n, j, k)
+    assert len(result.dds) == result.claimed_size
 
 
 @given(
@@ -271,9 +267,7 @@ def test_upper_bound_matches_construction(params):
 )
 def test_gcd1_bound_within_three_halves(params):
     n, k = params
-    b = upper_bound(n, 1, k)
-    assert b.relaxed_three_halves == Fraction(3 * n, 2)
-    assert b.value <= b.relaxed_three_halves
+    assert 2 * construct_family(n, 1, k).claimed_size <= 3 * n
 
 
 # ------------------------------------------------------------------- sweep
@@ -323,7 +317,7 @@ def test_parameter_rule_agrees_everywhere():
     for n in range(15):
         for j in range(-1, 8):
             for k in range(-1, 8):
-                funcs = [igraph, upper_bound, construct_family]
+                funcs = [igraph, construct_family]
                 verdicts = {accepts(f, n, j, k) for f in funcs}
                 if j == 1:
                     verdicts.add(accepts(petersen, n, k))

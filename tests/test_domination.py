@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import helpers
 from sigdom import (
     Budget,
+    DdsVerdict,
     Graph,
     InfeasibleError,
     NotCubicError,
@@ -51,13 +52,31 @@ def test_k_tuple_verdict_matches_oracle(data, pick):
     g = Graph(n, edges)
     members = set(pick.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
     adj = helpers.closed_neighborhoods(n, edges)
-    verdict = is_k_tuple_dominating(g, members, k=2)
-    failing = [v for v in range(n) if len(adj[v] & members) < 2]
-    assert verdict.ok == (not failing)
-    if failing:
-        assert verdict.failure_kind == "coverage"
-        assert verdict.failure_vertex == min(failing)
-        assert verdict.failure_multiplicity == len(adj[min(failing)] & members)
+    for k in (1, 2, 3):
+        verdict = is_k_tuple_dominating(g, members, k)
+        failing = [v for v in range(n) if len(adj[v] & members) < k]
+        assert verdict.ok == (not failing)
+        if failing:
+            assert verdict.failure_kind == "coverage"
+            assert verdict.failure_vertex == min(failing)
+            assert verdict.failure_multiplicity == len(adj[min(failing)] & members)
+
+
+def test_k_tuple_verdict_edge_cases():
+    for k in (1, 2, 3):
+        assert is_k_tuple_dominating(Graph(0), [], k).ok
+        assert is_signed_dds(all_positive(Graph(0)), [], k).ok
+    # vertex 2 is isolated, so nothing but itself can cover it
+    g = Graph(3, [(0, 1)])
+    assert is_k_tuple_dominating(g, [0, 1, 2], 1).ok
+    assert is_k_tuple_dominating(g, [0, 1], 1) == DdsVerdict(False, "coverage", 2, 0)
+    assert is_k_tuple_dominating(g, [0, 1, 2], 2) == DdsVerdict(False, "coverage", 2, 1)
+    # a repeated member counts once: N[0] holds one member, not two
+    edge = Graph(2, [(0, 1)])
+    cov = DdsVerdict(False, "coverage", 0, 1)
+    assert is_k_tuple_dominating(edge, [0, 0], 2) == cov
+    assert is_signed_dds(all_positive(edge), [0, 0, 0], 2) == cov
+    assert is_k_tuple_dominating(edge, [1, 0, 1, 0], 2).ok
 
 
 def test_signed_dds_verdict_fields():
@@ -74,6 +93,36 @@ def test_signed_dds_verdict_fields():
     d = {0, 2, 4, 5, 6}
     for a, b in zip(bal.witness_cycle, bal.witness_cycle[1:]):
         assert (a in d) != (b in d)
+
+
+def _orderings(members):
+    # the same members as a sorted list, a reversed list, a set and a generator
+    ordered = sorted(members)
+    return [ordered, ordered[::-1], set(ordered), (v for v in ordered)]
+
+
+def test_signed_dds_ignores_member_order():
+    s = w7_signed()
+    for d in ({2, 4, 5, 6}, {2, 4}, {0, 2, 4, 5, 6}):
+        verdicts = [is_signed_dds(s, m) for m in _orderings(d)]
+        assert verdicts == [verdicts[0]] * 4
+    # the last set's cut is unbalanced, so its witness cycle was compared too
+    assert verdicts[0].witness_cycle is not None
+
+
+@settings(max_examples=200)
+@given(helpers.signed_edge_data(min_n=3, max_n=8), st.data())
+def test_signed_dds_ignores_member_order_drawn(data, pick):
+    n, edges, signs = data
+    s = SignedGraph(Graph(n, edges), signs)
+    drawn = set(pick.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+    # with every undominated vertex added, k = 1 always reaches the cut check
+    adj = helpers.closed_neighborhoods(n, edges)
+    members = [*drawn, *(v for v in range(n) if not adj[v] & drawn)]
+    shuffled = pick.draw(st.permutations(members))
+    for k in (1, 2):
+        first = is_signed_dds(s, shuffled, k)
+        assert all(is_signed_dds(s, m, k) == first for m in _orderings(members))
 
 
 def test_both_rim_cycles_negative_rejects_quarter_set():
