@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .constructions import construct_family, construct_pn1_tight
 from .domination import (
+    _MAX_SEARCH_VERTICES,
     Budget,
     InfeasibleError,
     cubic_lower_bound,
@@ -41,7 +42,7 @@ from .graph import (
     cycle_decomposition,
     is_forest,
 )
-from .signed import SignedGraph, all_positive, is_balanced, random_signature, switch
+from .signed import all_positive, is_balanced, random_signature, switch
 
 DEFAULT_SEED = 1729
 
@@ -176,8 +177,8 @@ def cmd_construct(args) -> tuple[int, dict]:
     if args.tight:
         if j != 1 or k != 1:
             raise InvalidParametersError("--tight applies to P(n,1) only")
-        result, signed = construct_pn1_tight(n)
-        ok = is_signed_dds(signed, result.dds).ok
+        result = construct_pn1_tight(n)
+        ok = is_signed_dds(all_positive(family.graph), result.dds).ok
         checks.append(f"all_positive_dds={'ok' if ok else 'FAIL'}")
     else:
         result = construct_family(n, j, k)
@@ -191,10 +192,9 @@ def cmd_construct(args) -> tuple[int, dict]:
                 checks.append(f"signature_seed={seed + i} FAIL")
                 break
         checks.append(f"signatures={args.signatures}")
-        if result.cut_forest_expected:
-            forest = is_forest(cut_subgraph(graph, result.dds))
-            ok = ok and forest
-            checks.append(f"cut_forest={'ok' if forest else 'FAIL'}")
+        forest = is_forest(cut_subgraph(graph, result.dds))
+        ok = ok and forest
+        checks.append(f"cut_forest={'ok' if forest else 'FAIL'}")
     _say(args, f"case: {result.case_tag}")
     _say(args, f"size: {result.claimed_size}")
     _say(args, f"set: {format_vertex_set(result.dds, family)}")
@@ -259,23 +259,16 @@ def _instance_seed(seed: int, n: int, j: int, k: int) -> int:
 def cmd_sweep(args) -> tuple[int, dict]:
     cases = _sweep_rows(args)  # bad flags are refused before the seed is printed
     _at_least("--solver-cap", args.solver_cap, 0)
+    if args.solver_cap > _MAX_SEARCH_VERTICES:
+        raise InvalidParametersError(
+            f"--solver-cap must be <= {_MAX_SEARCH_VERTICES}, the search's "
+            f"recursion-depth ceiling, got {args.solver_cap}"
+        )
     seed = _seed(args)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
-        [
-            "family",
-            "n",
-            "j",
-            "k",
-            "d",
-            "case_tag",
-            "construction_size",
-            "closed_form_bound",
-            "lower_bound",
-            "solver_value",
-            "sandwich_ok",
-        ]
+        "family n j k d case_tag construction_size lower_bound solver_value sandwich_ok".split()
     )
     all_ok = True
     rows = []
@@ -301,7 +294,6 @@ def cmd_sweep(args) -> tuple[int, dict]:
             gcd(n, k),
             result.case_tag,
             result.claimed_size,
-            result.claimed_size,  # closed_form_bound: the construction's size
             lower,
             solver_value,
             sandwich,

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gcd
 
-from .families import InvalidParametersError, inner_blocks, petersen, validate_params
-from .signed import SignedGraph, all_positive
+from .families import InvalidParametersError, inner_blocks, validate_params
 
 
 @dataclass(frozen=True)
@@ -23,6 +22,11 @@ class ConstructionResult:
     cut_forest_expected: bool
 
 
+def _even_pairs(n: int) -> set[int]:
+    """Every even u/v pair of P(n, 1): {u_2i, v_2i} for 0 <= i < n // 2."""
+    return {w for i in range(n // 2) for w in (2 * i, n + 2 * i)}
+
+
 def _pn1(n: int) -> ConstructionResult:
     """Size 2(floor(n/2)+1) set for P(n, 1): every even u/v pair plus a tail pair.
 
@@ -30,10 +34,7 @@ def _pn1(n: int) -> ConstructionResult:
     {u_{2m-1}, v_{2m-1}}.  Both leave the cut a disjoint union of paths.
     """
     m = n // 2
-    members = set()
-    for i in range(m):
-        members.add(2 * i)
-        members.add(n + 2 * i)
+    members = _even_pairs(n)
     if n % 2:
         members.update((2 * m - 1, 2 * m))
         tag = "P_odd_1"
@@ -45,20 +46,16 @@ def _pn1(n: int) -> ConstructionResult:
     return ConstructionResult(frozenset(members), size, tag, True)
 
 
-def construct_pn1_tight(n: int) -> tuple[ConstructionResult, SignedGraph]:
-    """The half-order set {u_even, v_even} for even P(n, 1), plus the
-    all-positive signature under which it is a signed DDS.
+def construct_pn1_tight(n: int) -> ConstructionResult:
+    """The half-order set {u_even, v_even} for even P(n, 1).
 
     Its cut is both rims, so unlike the other constructions this one is
-    signature-specific: it needs the rim cycles to be positive.
+    signature-specific: it is a signed DDS only under signatures whose rim
+    cycles are positive, such as the all-positive one.
     """
     if n < 4 or n % 2:
         raise InvalidParametersError(f"the tight case needs even n >= 4, got n={n}")
-    members = frozenset(
-        [*(2 * i for i in range(n // 2)), *(n + 2 * i for i in range(n // 2))]
-    )
-    result = ConstructionResult(members, n, "P_even_1_tight", False)
-    return result, all_positive(petersen(n, 1).graph)
+    return ConstructionResult(frozenset(_even_pairs(n)), n, "P_even_1_tight", False)
 
 
 def _gcd1(n: int, k: int) -> ConstructionResult:

@@ -145,7 +145,7 @@ def parse_vertex_spec(
     """Parse a comma-separated vertex set; u/v labels need a family header."""
     members = set()
     for token in filter(None, (t.strip() for t in spec.split(","))):
-        if token[0] in "uv" and token[1:].isdigit():
+        if token[0] in "uv" and token[1:].isdecimal():
             if family is None or family.n is None:
                 raise ValueError(
                     f"label {token!r} needs a family header with u/v labels"

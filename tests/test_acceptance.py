@@ -107,9 +107,10 @@ def test_criterion_3_solver_sandwich():
 def test_criterion_4_tight_cases():
     failures = []
     for n in (4, 6, 8, 10, 12):
-        _, sig = construct_pn1_tight(n)
+        tight = construct_pn1_tight(n)
+        sig = all_positive(petersen(n, 1).graph)
         got = min_signed_dds(sig, max_vertices=24).value
-        if got != n:
+        if got != n or not is_signed_dds(sig, tight.dds).ok:
             failures.append(("P", n, 1, got))
     k4 = all_positive(Graph(4, helpers.K4_EDGES))
     if min_signed_dds(k4).value != 2:

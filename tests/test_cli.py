@@ -446,23 +446,24 @@ def test_solve_refuses_negative_max_n(cube_signed, capsys, cap):
 
 
 def test_sweep_small_range(capsys):
-    code, out, _ = run(
-        capsys, "sweep", "--family", "P", "--n", "5..8", "--k", "1..2",
-        "--solver-cap", "20",
-    )
+    argv = ["sweep", "--family", "P", "--n", "5..8", "--k", "1..2", "--solver-cap", "20"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     lines = [l for l in out.splitlines() if "," in l]
     header, *rows = lines
-    assert header.startswith("family,n,j,k,d,case_tag")
     cols = header.split(",")
+    assert cols == ["family", "n", "j", "k", "d", "case_tag", "construction_size",
+                    "lower_bound", "solver_value", "sandwich_ok"]
     for row in rows:
         rec = dict(zip(cols, row.split(",")))
         assert rec["sandwich_ok"] == "True"
-        assert rec["construction_size"] == rec["closed_form_bound"]
         assert int(rec["lower_bound"]) <= int(rec["construction_size"])
         if rec["solver_value"] != "":
             assert int(rec["lower_bound"]) <= int(rec["solver_value"])
             assert int(rec["solver_value"]) <= int(rec["construction_size"])
+    code, report, _ = run_json(capsys, *argv, "--json")
+    assert code == 0 and len(report["results"]["rows"]) == len(rows)
+    assert all(len(row) == len(cols) for row in report["results"]["rows"])
 
 
 def test_sweep_output_is_stable(capsys):
@@ -483,7 +484,7 @@ def test_sweep_golden_digest(tmp_path, capsys):
     assert tags == {b"P_odd_1", b"P_even_1", b"gcd1_odd", b"gcd1_even", b"gcd_d",
                     b"igraph_gcd1", b"igraph_gcd_d"}
     assert hashlib.sha256(text).hexdigest() == (
-        "2b309bb122b1e9867433c378e71b823f9f1b46e721b31273d3f66ae3d8d9c8df"
+        "e00d90005768631e367af747106e521cbb2b8f40a342b58338cab753aa22e857"
     )
 
 
@@ -527,12 +528,14 @@ def test_sweep_row_does_not_depend_on_the_range(capsys):
     assert wide == rows("8..12")
 
 
-@pytest.mark.parametrize("cap", ["-1", "-5"])
+@pytest.mark.parametrize("cap", ["-1", "-5", "513"])
 def test_sweep_refuses_negative_solver_cap(cap, tmp_path, capsys):
+    # a cap above the search's 512-vertex ceiling would otherwise fail mid-sweep
+    rule = ">= 0" if int(cap) < 0 else "<= 512, the search's recursion-depth ceiling"
     out_file = tmp_path / "t.csv"
     code, out, err = run(capsys, "sweep", "--n", "5", "--solver-cap", cap, "-o", str(out_file))
     assert code == 2 and out == ""  # no seed line either
-    assert err == f"error: --solver-cap must be >= 0, got {cap}\n"
+    assert err == f"error: --solver-cap must be {rule}, got {cap}\n"
     assert not out_file.exists()
 
 

@@ -83,12 +83,11 @@ def test_pn1_universal(n):
 
 
 def test_pn1_tight_even():
-    r, sig = construct_pn1_tight(6)
+    r = construct_pn1_tight(6)
     assert r.claimed_size == 6
     assert r.case_tag == "P_even_1_tight"
     assert not r.cut_forest_expected
-    assert sig == all_positive(petersen(6, 1).graph)
-    assert is_signed_dds(sig, r.dds).ok
+    assert is_signed_dds(all_positive(petersen(6, 1).graph), r.dds).ok
     # the cut here is a pair of disjoint cycles, not a forest
     cut = cut_subgraph(petersen(6, 1).graph, r.dds)
     assert not is_forest(cut)
@@ -97,13 +96,13 @@ def test_pn1_tight_even():
 
 def test_pn1_tight_matches_exact_minimum():
     for n in (4, 6, 8):
-        r, sig = construct_pn1_tight(n)
-        assert min_signed_dds(sig).value == n == r.claimed_size
+        r = construct_pn1_tight(n)
+        assert min_signed_dds(all_positive(petersen(n, 1).graph)).value == n == r.claimed_size
 
 
 def test_pn1_tight_smallest_membership():
     fam = petersen(4, 1)
-    r, _ = construct_pn1_tight(4)
+    r = construct_pn1_tight(4)
     assert {index_to_label(i, fam.n) for i in r.dds} == {"u0", "v0", "u2", "v2"}
 
 

@@ -177,6 +177,10 @@ def test_parse_vertex_spec_range_checks():
     for token in ("1_0", "+1"):  # in range once int() reads them
         with pytest.raises(ValueError, match="bad vertex token"):
             parse_vertex_spec(token, 20, None)
+    # '²'.isdigit() holds, but u² is no label, whatever the header
+    for family in (None, FamilyInfo("K4U", (5,)), FamilyInfo("P", (10, 1))):
+        with pytest.raises(ValueError, match="bad vertex token 'u²'"):
+            parse_vertex_spec("u²", 20, family)
     with pytest.raises(ValueError):
         parse_vertex_spec("u4", 8, FamilyInfo("P", (4, 1)))
 
