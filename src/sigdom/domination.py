@@ -192,9 +192,10 @@ class _OutOfBudget(Exception):
     pass
 
 
-# rec in _solve recurses once per vertex, so a graph this large must be
-# refused before the search starts: well above it Python's recursion limit
-# (1000 by default) turns the search into a RecursionError traceback.
+# rec in _solve recurses once per included vertex, and a size level can
+# include up to n - 1 of them, so a graph this large must be refused before
+# the search starts: well above it Python's recursion limit (1000 by
+# default) turns the search into a RecursionError traceback.
 _MAX_SEARCH_VERTICES = 512
 
 
@@ -218,9 +219,13 @@ def _solve(
     vertex i is one carry chain over N[i]'s mask and the deficit, the sum of
     max(0, k - |N[v] ∩ D|), is k*n - popcount(cover).  The reach rule prunes
     an exclusion that leaves some N[w] with fewer than k members included or
-    undecided; the deficit rule prunes a branch whose deficit exceeds what
-    the remaining picks could cover.  A parent counts and tests its
-    children, so only a node with children of its own costs a call.
+    undecided.  It is bit-sliced too: bits t*n..t*n+n-1 of `tight` hold the
+    vertices w whose reach, |N[w]| less its members excluded so far, is at
+    most k+t.  Excluding i is pruned exactly when N[i]'s mask meets level 0;
+    otherwise it moves N[i] down one level.  The deficit rule prunes a
+    branch whose deficit exceeds what the remaining picks could cover.  A
+    parent counts and tests its children, and a call walks its line of
+    exclude children in a loop, so only an include costs a call.
 
     One search serves `count` acceptance tests: `accept(mask, pending)`
     gets each coverage-passing mask and the bitmask of the tests still
@@ -250,15 +255,20 @@ def _solve(
     cn_max = max(len(c) for c in cn)
     full = (1 << n) - 1
     nbr = [sum(1 << w for w in c) for c in cn]
-    # per vertex i: its bit, N[i] in each level, the N[w] of each w in N[i],
-    # the vertices after i, and the picks left that must take them all
+    # each w starts on reach levels |N[w]|-k up to cn_max-k; that top level
+    # holds every vertex and never changes, so an exclusion fills the one below
+    tight = sum(1 << t * n + w for w, c in enumerate(cn) for t in range(len(c) - k, cn_max - k + 1))
+    # per vertex i: its bit, N[i] in each cover level, N[i], N[i] in each reach
+    # level below the top, the vertices after i, and the picks left that must
+    # take them all
     steps = [
-        (1 << i, sum(nbr[i] << t * n for t in range(k)), tuple(nbr[w] for w in cn[i]),
-         full >> (i + 1) << (i + 1), n - i - 1)
+        (1 << i, sum(nbr[i] << t * n for t in range(k)), nbr[i],
+         sum(nbr[i] << t * n for t in range(cn_max - k)), full >> (i + 1) << (i + 1), n - i - 1)
         for i in range(n)
     ]
-    # the deficit rule: r picks can finish a cover with at least least[r] bits set
-    least = [k * n - r * cn_max for r in range(n + 1)]
+    # the deficit rule: with r picks to go, an include must leave at least
+    # least[r] bits set, since the r - 1 picks after it add at most cn_max each
+    least = [k * n - (r - 1) * cn_max for r in range(n + 1)]
     budget = budget or Budget()
     max_nodes = math.inf if budget.max_nodes is None else budget.max_nodes
     deadline = math.inf if budget.max_seconds is None else time.monotonic() + budget.max_seconds
@@ -283,31 +293,34 @@ def _solve(
             results[:] = [result if accepted >> i & 1 else r for i, r in enumerate(results)]
         return not pending
 
-    def rec(i: int, left: int, mask: int, cover: int) -> bool:
-        # counts and tests both children of a node at vertex i with `left` picks to go
+    def rec(i: int, left: int, mask: int, cover: int, tight: int) -> bool:
+        # counts and tests both children of a node at vertex i with `left` picks
+        # to go, then walks on down the exclude child's line
         nonlocal nodes
-        bit, rep, nbrs, rest, tail = steps[i]
-        nodes += 1  # include vertex i; the parent's tests rule out a forced tail
-        if nodes > check_at:
-            tick()
-        # the carry chain: level t+1 gains level t's vertices in N[i], level 0 all of N[i]
-        grown = cover | (cover << n | full) & rep
-        # with no picks left, the deficit rule is the leaf test: every bit set
-        if grown.bit_count() >= least[left - 1] and (
-            emit(mask | bit) if left == 1 else rec(i + 1, left - 1, mask | bit, grown)
-        ):
-            return True
-        # exclude vertex i unless the reach rule prunes it
-        kept = mask | rest
-        for m in nbrs:
-            if (m & kept).bit_count() < k:
+        need = least[left]
+        while True:
+            bit, rep, nb, drop, rest, tail = steps[i]
+            nodes += 1  # include vertex i; the parent's tests rule out a forced tail
+            if nodes > check_at:
+                tick()
+            # the carry chain: level t+1 gains level t's vertices in N[i], level 0 all of N[i]
+            grown = cover | (cover << n | full) & rep
+            # with no picks left, the deficit rule is the leaf test: every bit set
+            if grown.bit_count() >= need and (
+                emit(mask | bit) if left == 1 else rec(i + 1, left - 1, mask | bit, grown, tight)
+            ):
+                return True
+            # the reach rule: excluding i leaves some N[w] short iff w has reach <= k
+            if nb & tight:
                 return False
-        nodes += 1  # the parent's picks and deficit: no leaf and no deficit prune
-        if nodes > check_at:
-            tick()
-        if left == tail:  # forced all-include tail; the reach rule makes it cover
-            return emit(kept)
-        return rec(i + 1, left, mask, cover)
+            nodes += 1  # the parent's picks and deficit: no leaf and no deficit prune
+            if nodes > check_at:
+                tick()
+            if left == tail:  # forced all-include tail; the reach rule makes it cover
+                return emit(mask | rest)
+            # excluding i moves N[i] down one reach level
+            tight |= tight >> n & drop
+            i += 1
 
     try:
         for size in range(max(k, -(-k * n // cn_max)), n + 1):
@@ -318,7 +331,7 @@ def _solve(
             nodes += 1  # the root: a forced tail at size n, else it has children
             if nodes > check_at:
                 tick()
-            if emit(full) if size == n else rec(0, size, 0, 0):
+            if emit(full) if size == n else rec(0, size, 0, 0, tight):
                 break
     except _OutOfBudget:
         pass

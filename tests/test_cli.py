@@ -406,7 +406,7 @@ def test_solve_respects_vertex_cap(tmp_path, capsys):
 
 
 def test_solve_long_cycle_is_usage_error_not_traceback(tmp_path, capsys):
-    # the search recurses once per vertex; past its ceiling the graph is refused
+    # the search recurses once per included vertex; past its ceiling the graph is refused
     n = 1800
     sig = tmp_path / "c1800.sig"
     sig.write_text(f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n} +\n" for i in range(n)))

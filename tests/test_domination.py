@@ -275,6 +275,17 @@ def test_min_k_tuple_frozen_values():
     assert (r.value, sorted(r.witness), r.nodes_explored) == (9, list(range(9)), 63)
     r = min_k_tuple_dominating(CUBE, k=3)
     assert (r.value, sorted(r.witness), r.nodes_explored) == (6, [0, 1, 2, 4, 6, 7], 12)
+    # irregular graphs: the reach rule starts each N[w] from its own |N[w]|
+    fan = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
+    r = min_k_tuple_dominating(fan)
+    assert (r.value, sorted(r.witness), r.nodes_explored) == (4, [0, 1, 3, 4], 20)
+    r = min_k_tuple_dominating(fan, k=1)
+    assert (r.value, sorted(r.witness), r.nodes_explored) == (1, [0], 2)
+    wheel = Graph(7, [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)])
+    r = min_k_tuple_dominating(wheel)
+    assert (r.value, sorted(r.witness), r.nodes_explored) == (3, [0, 1, 4], 19)
+    r = min_k_tuple_dominating(wheel, k=3)
+    assert (r.value, sorted(r.witness), r.nodes_explored) == (5, [0, 1, 2, 4, 5], 38)
     assert min_k_tuple_dominating(k4_union(2)).value == 4
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert min_k_tuple_dominating(c5).value == 4
@@ -497,7 +508,7 @@ def test_negative_vertex_cap_is_refused(graph):
 
 
 def test_search_depth_ceiling():
-    # the coverage search recurses once per vertex, so a long cycle must be
+    # the coverage search recurses once per included vertex, so a long cycle must be
     # refused up front rather than overflow Python's recursion limit
     n = 1800
     cycle = all_positive(Graph(n, [(i, (i + 1) % n) for i in range(n)]))
