@@ -41,14 +41,12 @@ from .families import (
     petersen,
 )
 from .graph import (
-    CycleDecomposition,
     Graph,
     NotEvenGraphError,
     SizeLimitExceededError,
     canonical_cycle,
     cut_subgraph,
     cycle_decomposition,
-    enumerate_cycles,
     is_even,
     is_forest,
     vertex_subset,
@@ -61,7 +59,6 @@ from .signed import (
     all_positive,
     cycle_sign,
     is_balanced,
-    negative_cycle_set,
     random_signature,
     switch,
     switching_equivalent,

@@ -163,9 +163,9 @@ def cmd_decompose_cut(args) -> tuple[int, dict]:
         _say(args, f"not_even: {exc}")
         results["not_even"] = str(exc)
         return EXIT_FAIL, results
-    for cyc in decomposition.cycles:
+    for cyc in decomposition:
         _say(args, f"cycle: {_cycle_text(cyc, family)}")
-    results["cycles"] = [list(c) for c in decomposition.cycles]
+    results["cycles"] = [list(c) for c in decomposition]
     return EXIT_OK, results
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .graph import (
-    CycleDecomposition,
     Graph,
     SizeLimitExceededError,
     cut_subgraph,
@@ -170,7 +169,7 @@ class HalfDdsReport:
 
     is_dds: bool
     cut_degrees: tuple[int, ...]
-    decomposition: CycleDecomposition | None
+    decomposition: tuple[tuple[int, ...], ...] | None
 
 
 def analyze_half_dds(g: Graph, members: Iterable[int]) -> HalfDdsReport:

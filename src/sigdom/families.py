@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -15,17 +14,13 @@ class InvalidParametersError(ValueError):
     """Family parameters outside the validity range."""
 
 
-_LABEL_RE = re.compile(r"^([uv])(\d+)$")
-
-
 def label_to_index(label: str, n: int) -> int:
-    m = _LABEL_RE.match(label)
-    if not m:
+    if not (label[:1] in ("u", "v") and label[1:].isdecimal()):
         raise ValueError(f"bad vertex label {label!r} (expected u<i> or v<i>)")
-    i = int(m.group(2))
+    i = int(label[1:])
     if i >= n:
         raise ValueError(f"label {label!r} out of range for n={n}")
-    return i if m.group(1) == "u" else n + i
+    return i if label[0] == "u" else n + i
 
 
 def index_to_label(index: int, n: int) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -107,22 +106,8 @@ def is_forest(g: Graph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Simple cycles (vertex sequences, length >= 3) partitioning the edge set."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    def edges(self) -> list[Edge]:
-        out: list[Edge] = []
-        for cyc in self.cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                out.append((a, b) if a < b else (b, a))
-        return out
-
-
-def cycle_decomposition(g: Graph) -> CycleDecomposition:
-    """Split an even graph into edge-disjoint simple cycles.
+def cycle_decomposition(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Split an even graph into edge-disjoint simple cycles, as vertex tuples.
 
     Greedy walk: start from the smallest vertex with unused edges, always
     step along the smallest-index unused neighbor, and peel off a cycle as
@@ -163,7 +148,7 @@ def cycle_decomposition(g: Graph) -> CycleDecomposition:
                     for x in stack[j + 1 :]:
                         del pos[x]
                     del stack[j + 1 :]
-    return CycleDecomposition(tuple(cycles))
+    return tuple(cycles)
 
 
 def canonical_cycle(cycle: Iterable[int]) -> tuple[int, ...]:
@@ -175,33 +160,3 @@ def canonical_cycle(cycle: Iterable[int]) -> tuple[int, ...]:
     fwd = cyc[i:] + cyc[:i]
     rev = (fwd[0],) + tuple(reversed(fwd[1:]))
     return fwd if fwd[1] < rev[1] else rev
-
-
-def enumerate_cycles(g: Graph, max_edges: int = 64) -> tuple[tuple[int, ...], ...]:
-    """All simple cycles, one canonical representative per rotation/reflection class.
-
-    Exponential in general; guarded by `max_edges`.
-    """
-    if len(g.edges) > max_edges:
-        raise SizeLimitExceededError(
-            f"{len(g.edges)} edges exceeds the limit of {max_edges}"
-        )
-    out: list[tuple[int, ...]] = []
-    path: list[int] = []
-    on_path = [False] * g.n
-
-    def extend(v: int, s: int) -> None:
-        path.append(v)
-        on_path[v] = True
-        for w in g.adj[v]:
-            if w == s:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    out.append(tuple(path))
-            elif w > s and not on_path[w]:
-                extend(w, s)
-        path.pop()
-        on_path[v] = False
-
-    for s in range(g.n):
-        extend(s, s)
-    return tuple(out)

@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Edge, Graph, canonical_cycle, enumerate_cycles, vertex_subset
+from .graph import Edge, Graph, canonical_cycle, vertex_subset
 
 
 class NotACycleError(ValueError):
@@ -206,11 +206,4 @@ def random_signature(graph: Graph, seed: int, p_neg: float = 0.5) -> SignedGraph
     rng = random.Random(seed)
     return SignedGraph._trusted(
         graph, {e: (-1 if rng.random() < p_neg else 1) for e in graph.edges}
-    )
-
-
-def negative_cycle_set(s: SignedGraph, max_edges: int = 64) -> frozenset[tuple[int, ...]]:
-    """All negative simple cycles in canonical form.  Exponential; a test oracle."""
-    return frozenset(
-        c for c in enumerate_cycles(s.graph, max_edges) if cycle_sign(s, c) < 0
     )

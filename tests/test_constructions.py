@@ -91,7 +91,7 @@ def test_pn1_tight_even():
     # the cut here is a pair of disjoint cycles, not a forest
     cut = cut_subgraph(petersen(6, 1).graph, r.dds)
     assert not is_forest(cut)
-    assert sorted(len(c) for c in cycle_decomposition(cut).cycles) == [6, 6]
+    assert sorted(len(c) for c in cycle_decomposition(cut)) == [6, 6]
 
 
 def test_pn1_tight_matches_exact_minimum():

@@ -48,7 +48,7 @@ def rims(fam):
     assert outer.degrees() == (2,) * n + (0,) * n
     assert inner.degrees() == (0,) * n + (2,) * n
     spokes = tuple(e for e in g.edges if e[0] < n <= e[1])
-    return cycle_decomposition(outer).cycles, spokes, cycle_decomposition(inner).cycles
+    return cycle_decomposition(outer), spokes, cycle_decomposition(inner)
 
 
 def test_cube_is_p41():
@@ -169,6 +169,8 @@ def test_label_errors():
         label_to_index("u5", 5)
     with pytest.raises(ValueError):
         label_to_index("u-1", 5)
+    with pytest.raises(ValueError):
+        label_to_index("u1\n", 5)
 
 
 def test_family_graph_accessors():
