@@ -128,16 +128,21 @@ def is_signed_dds(s: SignedGraph, members: Iterable[int], k: int = 2) -> DdsVerd
     """Signed double domination check: coverage first, then balance of the cut.
 
     The second condition restricts the signature to the cut [D : V-D] (same
-    vertex index space) and requires it to be balanced.  The cut's adjacency
-    lists are built from D's members in ascending order, so each list is
-    sorted, equals the graph's own list filtered to the cut, and gives the
-    balance BFS the certificate it gives for the cut subgraph.
+    vertex index space) and requires it to be balanced.  A parity union-find
+    over D's cut edges decides it; a balanced cut returns at once, with no
+    certificate built.  Only when the union-find finds a negative cycle are
+    the cut's adjacency lists built, from D's members in ascending order, so
+    each list is sorted, equals the graph's own list filtered to the cut,
+    and gives the balance BFS the witness cycle it gives for the cut
+    subgraph.
     """
     g = s.graph
     d = vertex_subset(g, members)
     verdict = _k_cover(g, d, k)
     if not verdict.ok:
         return verdict
+    if _cut_consistent(s, d):
+        return DdsVerdict(True)
     cut_adj: list[list[int]] = [[] for _ in range(g.n)]
     for u in sorted(d):
         out = cut_adj[u]
@@ -146,9 +151,47 @@ def is_signed_dds(s: SignedGraph, members: Iterable[int], k: int = 2) -> DdsVerd
                 out.append(w)
                 cut_adj[w].append(u)
     cert = _bfs_balance(g.n, cut_adj, s.signs)
-    if cert.balanced:
-        return DdsVerdict(True)
+    assert not cert.balanced, "union-find and BFS disagree on the cut"
     return DdsVerdict(False, "unbalanced_cut", witness_cycle=cert.witness_cycle)
+
+
+def _cut_consistent(s: SignedGraph, d: frozenset[int]) -> bool:
+    # parity union-find over the cut edges of d, each read once from d's side:
+    # odd[v] is 1 when v's mark differs from root[v]'s, and a negative edge
+    # needs its ends' marks to differ.  A decision for one signature, with no
+    # per-graph set-up; _cut_balanced is the search's batch kernel over every
+    # signature at once.
+    adj, signs = s.graph.adj, s.signs
+    root = list(range(s.graph.n))
+    odd = [0] * s.graph.n
+    for u in d:
+        a, pa = u, 0
+        while root[a] != a:
+            # path halving keeps the trees shallow on long cuts
+            p = root[a]
+            odd[a] ^= odd[p]
+            root[a] = root[p]
+            pa ^= odd[a]
+            a = root[a]
+        for w in adj[u]:
+            if w in d:
+                continue
+            b, pb = w, 0
+            while root[b] != b:
+                p = root[b]
+                odd[b] ^= odd[p]
+                root[b] = root[p]
+                pb ^= odd[b]
+                b = root[b]
+            neg = signs[(u, w) if u < w else (w, u)] < 0
+            if a == b:
+                if pa ^ pb != neg:
+                    return False
+            else:
+                # w's tree hangs under u's root, which stays a root for u's other edges
+                root[b] = a
+                odd[b] = pa ^ pb ^ neg
+    return True
 
 
 def cubic_lower_bound(g: Graph) -> int:

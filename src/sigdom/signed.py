@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -127,9 +126,9 @@ def _bfs_balance(
         if mark[root]:
             continue
         mark[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        # a list walked while it grows visits in deque order without popleft
+        queue = [root]
+        for u in queue:
             mu = mark[u]
             for w in adj[u]:
                 expected = mu * signs[(u, w) if u < w else (w, u)]

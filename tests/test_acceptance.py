@@ -6,7 +6,6 @@ broke.  Runtime caps are asserted where a criterion carries one.
 """
 import time
 from itertools import combinations
-from math import gcd
 from random import Random
 
 import helpers

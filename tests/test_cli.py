@@ -221,6 +221,29 @@ def test_verify_json_report(cube_signed, capsys):
     assert set(payload) == {"command", "inputs", "seed", "results", "timing_ms"}
 
 
+def test_verify_reports_unbalanced_cut(tmp_path, cube_file, capsys):
+    # negative u0u1 and v0v1: D = u0,u2,v0,v2 double dominates, and its cut
+    # is the two rims, of which the outer one is negative
+    signs = tmp_path / "signs.txt"
+    g, _ = read_edge_list(cube_file.read_text())
+    lines = [f"{a} {b} {'-' if (a, b) in {(0, 1), (4, 5)} else '+'}" for a, b in g.edges]
+    signs.write_text("\n".join(["8 12", *lines]) + "\n")
+    signed = tmp_path / "neg.sig"
+    assert run(capsys, "sign", str(cube_file), "--signs", str(signs), "-o", str(signed))[0] == 0
+    code, out, _ = run(capsys, "verify", str(signed), "--set", "u0,u2,v0,v2")
+    assert code == 1
+    assert out == "set: u0,u2,v0,v2\nok: false\nfailure: unbalanced_cut cycle=u0,u1,u2,u3\n"
+    code, payload, _ = run_json(capsys, "verify", str(signed), "--set", "u0,u2,v0,v2", "--json")
+    assert code == 1
+    assert payload["results"] == {
+        "ok": False,
+        "failure_kind": "unbalanced_cut",
+        "failure_vertex": None,
+        "failure_multiplicity": None,
+        "witness_cycle": [0, 1, 2, 3],
+    }
+
+
 # (argv with {graph}/{signed}/{signs} placeholders, files read, reported seed)
 REPORT_CASES = {
     "gen": (["gen", "P", "4", "1"], [], None),

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from sigdom import (
     cubic_lower_bound,
     cut_subgraph,
     cycle_sign,
+    igraph,
     is_balanced,
     is_k_tuple_dominating,
     is_signed_dds,
@@ -31,6 +33,7 @@ from sigdom import (
     random_signature,
 )
 from sigdom.domination import _cut_balanced
+from sigdom.families import family_cases
 
 CUBE = Graph(8, helpers.petersen_edges(4, 1))
 PETERSEN = Graph(10, helpers.petersen_edges(5, 2))
@@ -184,6 +187,11 @@ def test_signed_dds_verdict_matches_oracle(data, pick):
     assert is_signed_dds(s, members).ok == ok
 
 
+def _cut_subgraph_certificate(s, members):
+    cut = cut_subgraph(s.graph, members)
+    return is_balanced(SignedGraph(cut, {e: s.signs[e] for e in cut.edges}))
+
+
 @settings(max_examples=200)
 @given(helpers.signed_edge_data(min_n=3, max_n=8), st.data())
 def test_unbalanced_cut_witness_matches_cut_subgraph_route(data, pick):
@@ -195,8 +203,7 @@ def test_unbalanced_cut_witness_matches_cut_subgraph_route(data, pick):
     adj = helpers.closed_neighborhoods(n, edges)
     members = frozenset(drawn | {v for v in range(n) if not adj[v] & drawn})
     verdict = is_signed_dds(s, members, 1)
-    cut = cut_subgraph(s.graph, members)
-    cert = is_balanced(SignedGraph(cut, {e: s.signs[e] for e in cut.edges}))
+    cert = _cut_subgraph_certificate(s, members)
     assert verdict.ok == cert.balanced
     assert verdict.witness_cycle == cert.witness_cycle
     if verdict.ok:
@@ -207,6 +214,48 @@ def test_unbalanced_cut_witness_matches_cut_subgraph_route(data, pick):
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         assert (min(a, b), max(a, b)) in cut_edges
     assert helpers.brute_cycle_sign(cycle, signs) == -1
+
+
+# every P(n, k) and I(n, j, k) (j, k <= 5) with n <= 60, so |V| reaches 120
+DESK_CASES = [
+    *family_cases(range(3, 61), (1,), range(1, 30)),
+    *family_cases(range(5, 61), range(2, 6), range(2, 6)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(DESK_CASES),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.01, 0.05, 0.5]),
+    st.sampled_from([0.1, 0.3, 0.5, 0.7]),
+)
+def test_signed_dds_matches_cut_subgraph_route_at_desk_scale(njk, seed, p_neg, density):
+    # p_neg = 0 leaves every cut balanced and p_neg = 0.5 almost none, so
+    # both verdicts occur; adding the undominated vertices makes k = 1
+    # coverage pass, so every example reaches the cut check
+    g = igraph(*njk).graph
+    s = random_signature(g, seed, p_neg)
+    rng = random.Random(seed)
+    drawn = {v for v in range(g.n) if rng.random() < density}
+    members = frozenset(drawn | {v for v in range(g.n) if drawn.isdisjoint((v, *g.adj[v]))})
+    verdict = is_signed_dds(s, members, 1)
+    cert = _cut_subgraph_certificate(s, members)
+    assert verdict.ok == cert.balanced
+    assert verdict.witness_cycle == cert.witness_cycle
+
+
+@pytest.mark.parametrize("negative", [None, (0, 511), (255, 256)])
+def test_long_cut_cycle(negative):
+    # the even vertices of a 512-cycle: every edge is a cut edge, so the
+    # union-find joins one tree along the whole cycle before it closes
+    g = Graph(512, [(v, v + 1) for v in range(511)] + [(0, 511)])
+    s = SignedGraph(g, {e: -1 if e == negative else 1 for e in g.edges})
+    verdict = is_signed_dds(s, range(0, 512, 2), 1)
+    cert = _cut_subgraph_certificate(s, range(0, 512, 2))
+    assert verdict.ok == cert.balanced == (negative is None)
+    assert verdict.witness_cycle == cert.witness_cycle
+    assert verdict.witness_cycle == (None if negative is None else tuple(range(512)))
 
 
 # ----------------------------------------------------------- lower bounds
