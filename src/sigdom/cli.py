@@ -97,6 +97,9 @@ def cmd_gen(args) -> tuple[int, dict]:
 
 
 def cmd_sign(args) -> tuple[int, dict]:
+    # written so that NaN, which compares false, is refused too
+    if args.random is not None and not 0 <= args.random <= 1:
+        raise InvalidParametersError(f"--random must lie in [0, 1], got {args.random}")
     graph, family = read_edge_list(_load(args, args.graph))
     if args.all_positive:
         signed = all_positive(graph)
@@ -126,7 +129,7 @@ def cmd_verify(args) -> tuple[int, dict]:
         else:
             cyc = _cycle_text(verdict.witness_cycle, family)
             _say(args, f"failure: unbalanced_cut cycle={cyc}")
-    return (EXIT_OK if verdict.ok else EXIT_FAIL), verdict.to_dict()
+    return (EXIT_OK if verdict.ok else EXIT_FAIL), dict(vars(verdict))
 
 
 def cmd_balance(args) -> tuple[int, dict]:
@@ -223,7 +226,10 @@ def cmd_solve(args) -> tuple[int, dict]:
     _say(args, f"witness: {witness}")
     _say(args, f"nodes_explored: {result.nodes_explored}")
     _say(args, f"limits_hit: {str(result.limits_hit).lower()}")
-    return (EXIT_BUDGET if result.limits_hit else EXIT_OK), result.to_dict()
+    return (EXIT_BUDGET if result.limits_hit else EXIT_OK), {
+        **vars(result),
+        "witness": None if result.witness is None else sorted(result.witness),
+    }
 
 
 def _parse_range(spec: str) -> range:

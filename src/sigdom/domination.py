@@ -22,7 +22,7 @@ from .graph import (
     cycle_decomposition,
     vertex_subset,
 )
-from .signed import SignedGraph, UnderlyingGraphMismatchError, _bfs_balance
+from .signed import SignedGraph, UnderlyingGraphMismatchError, is_balanced
 
 
 class NotCubicError(ValueError):
@@ -51,15 +51,6 @@ class DdsVerdict:
     failure_vertex: int | None = None
     failure_multiplicity: int | None = None
     witness_cycle: tuple[int, ...] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "failure_kind": self.failure_kind,
-            "failure_vertex": self.failure_vertex,
-            "failure_multiplicity": self.failure_multiplicity,
-            "witness_cycle": list(self.witness_cycle) if self.witness_cycle else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -93,14 +84,6 @@ class SolveResult:
     nodes_explored: int
     limits_hit: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": sorted(self.witness) if self.witness is not None else None,
-            "nodes_explored": self.nodes_explored,
-            "limits_hit": self.limits_hit,
-        }
-
 
 def is_k_tuple_dominating(g: Graph, members: Iterable[int], k: int = 2) -> DdsVerdict:
     """Check |N[v] ∩ D| >= k for every vertex; reports the smallest failing vertex."""
@@ -130,11 +113,8 @@ def is_signed_dds(s: SignedGraph, members: Iterable[int], k: int = 2) -> DdsVerd
     The second condition restricts the signature to the cut [D : V-D] (same
     vertex index space) and requires it to be balanced.  A parity union-find
     over D's cut edges decides it; a balanced cut returns at once, with no
-    certificate built.  Only when the union-find finds a negative cycle are
-    the cut's adjacency lists built, from D's members in ascending order, so
-    each list is sorted, equals the graph's own list filtered to the cut,
-    and gives the balance BFS the witness cycle it gives for the cut
-    subgraph.
+    certificate built.  A rejected cut is certified by that definition:
+    `is_balanced` on the cut subgraph and its signs gives the negative cycle.
     """
     g = s.graph
     d = vertex_subset(g, members)
@@ -143,14 +123,8 @@ def is_signed_dds(s: SignedGraph, members: Iterable[int], k: int = 2) -> DdsVerd
         return verdict
     if _cut_consistent(s, d):
         return DdsVerdict(True)
-    cut_adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u in sorted(d):
-        out = cut_adj[u]
-        for w in g.adj[u]:
-            if w not in d:
-                out.append(w)
-                cut_adj[w].append(u)
-    cert = _bfs_balance(g.n, cut_adj, s.signs)
+    cut = cut_subgraph(g, d)
+    cert = is_balanced(SignedGraph(cut, {e: s.signs[e] for e in cut.edges}))
     assert not cert.balanced, "union-find and BFS disagree on the cut"
     return DdsVerdict(False, "unbalanced_cut", witness_cycle=cert.witness_cycle)
 

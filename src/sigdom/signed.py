@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .graph import Edge, Graph, canonical_cycle, vertex_subset
 
@@ -111,14 +111,7 @@ def is_balanced(s: SignedGraph) -> BalanceCertificate:
     Runs in O(V + E).  Roots are the smallest unvisited vertices and
     adjacency is scanned in sorted order, so certificates are deterministic.
     """
-    return _bfs_balance(s.graph.n, s.graph.adj, s.signs)
-
-
-def _bfs_balance(
-    n: int, adj: Sequence[Sequence[int]], signs: Mapping[Edge, int]
-) -> BalanceCertificate:
-    # ascending adj lists make the certificate deterministic; is_signed_dds
-    # passes the graph's own lists filtered to the cut
+    n, adj, signs = s.graph.n, s.graph.adj, s.signs
     mark = [0] * n
     parent = [-1] * n
     depth = [0] * n

@@ -50,6 +50,16 @@ def cube_signed(tmp_path, cube_file, capsys):
     return path
 
 
+@pytest.fixture
+def cube_random(tmp_path, cube_file, capsys):
+    # seed 1 makes the outer 4-cycle u0,u1,u2,u3 negative
+    path = tmp_path / "p41-seed1.sig"
+    argv = ["sign", str(cube_file), "--random", "0.5", "--seed", "1", "-o", str(path)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return path
+
+
 # ------------------------------------------------------------------- gen
 
 
@@ -149,6 +159,16 @@ def test_sign_prints_seed(cube_file, capsys):
     code, out, _ = run(capsys, "sign", str(cube_file), "--random", "0.5")
     assert code == 0
     assert "seed: 1729" in out  # the documented default
+
+
+@pytest.mark.parametrize("p_neg", ["1.5", "-0.1", "nan"])
+def test_sign_refuses_random_outside_unit_interval(p_neg, tmp_path, cube_file, capsys):
+    # refused before any output, the seed line included
+    out_file = tmp_path / "out"
+    code, out, err = run(capsys, "sign", str(cube_file), "--random", p_neg, "-o", str(out_file))
+    assert code == 2 and out == ""
+    assert err == f"error: --random must lie in [0, 1], got {float(p_neg)}\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(
@@ -290,17 +310,17 @@ def test_json_report_for_every_subcommand(case, tmp_path, cube_file, cube_signed
 # --------------------------------------------------------------- balance
 
 
-def test_balance_verdicts(tmp_path, cube_file, cube_signed, capsys):
+def test_balance_verdicts(cube_signed, cube_random, capsys):
     code, out, _ = run(capsys, "balance", str(cube_signed))
     assert code == 0
     assert "balanced: true" in out
     assert "marking" in out
-    neg = tmp_path / "neg.sig"
-    run(capsys, "sign", str(cube_file), "--random", "0.5", "--seed", "1", "-o", str(neg))
-    code, out, _ = run(capsys, "balance", str(neg))
-    assert code in (0, 1)
-    if code == 1:
-        assert "negative_cycle" in out
+    code, out, _ = run(capsys, "balance", str(cube_random))
+    assert code == 1
+    assert out == "balanced: false\nnegative_cycle: u0,u1,u2,u3\n"
+    code, payload, _ = run_json(capsys, "balance", str(cube_random), "--json")
+    assert code == 1
+    assert payload["results"] == {"balanced": False, "witness_cycle": [0, 1, 2, 3]}
 
 
 def test_switch_then_balance_is_invariant(tmp_path, cube_file, capsys):
@@ -388,6 +408,27 @@ def test_solve_exact_value(cube_signed, capsys):
     assert "value: 4" in out
 
 
+def test_solve_and_verify_json_results(cube_random, capsys):
+    # the results objects of solve and of a coverage failure, field for field
+    code, payload, _ = run_json(capsys, "solve", str(cube_random), "--json")
+    assert code == 0
+    assert payload["results"] == {
+        "value": 5,
+        "witness": [0, 1, 2, 4, 7],
+        "nodes_explored": 63,
+        "limits_hit": False,
+    }
+    code, payload, _ = run_json(capsys, "verify", str(cube_random), "--set", "u0", "--json")
+    assert code == 1
+    assert payload["results"] == {
+        "ok": False,
+        "failure_kind": "coverage",
+        "failure_vertex": 0,
+        "failure_multiplicity": 1,
+        "witness_cycle": None,
+    }
+
+
 def test_solve_k4(tmp_path, capsys):
     edges = tmp_path / "k4.edges"
     edges.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
@@ -406,6 +447,14 @@ def test_solve_budget_exhaustion(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(sig), "--max-nodes", "3")
     assert code == 3
     assert "limits" in out
+    code, payload, _ = run_json(capsys, "solve", str(sig), "--max-nodes", "3", "--json")
+    assert code == 3
+    assert payload["results"] == {
+        "value": None,
+        "witness": None,
+        "nodes_explored": 4,
+        "limits_hit": True,
+    }
 
 
 def test_solve_infeasible(tmp_path, capsys):

@@ -620,14 +620,3 @@ def test_budget_generous_enough_is_invisible():
 def test_solver_rejects_bad_k():
     with pytest.raises(ValueError):
         min_k_tuple_dominating(CUBE, k=0)
-
-
-def test_result_serialization():
-    r = min_k_tuple_dominating(CUBE)
-    d = r.to_dict()
-    assert d["value"] == 4
-    assert d["witness"] == sorted(r.witness)
-    assert d["limits_hit"] is False
-    v = is_signed_dds(w7_signed(), {0, 2, 4, 5, 6}).to_dict()
-    assert v["ok"] is False
-    assert v["failure_kind"] == "unbalanced_cut"
