@@ -71,9 +71,9 @@ def _load(args, path: str) -> str:
     return text
 
 
-def _at_least(flag: str, value: int, low: int) -> None:
-    """Refuse a flag's value below `low`, naming the flag."""
-    if value < low:
+def _at_least(flag: str, value: float, low: int) -> None:
+    """Refuse a flag's value below `low`, or NaN, naming the flag."""
+    if not value >= low:
         raise InvalidParametersError(f"{flag} must be >= {low}, got {value}")
 
 
@@ -114,6 +114,7 @@ def cmd_sign(args) -> tuple[int, dict]:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
+    _at_least("--k", args.k, 1)
     signed, family = read_signed_edge_list(_load(args, args.signed))
     members = parse_vertex_spec(args.set, signed.graph.n, family)
     verdict = is_signed_dds(signed, members, args.k)
@@ -211,7 +212,12 @@ def cmd_construct(args) -> tuple[int, dict]:
 
 
 def cmd_solve(args) -> tuple[int, dict]:
+    _at_least("--k", args.k, 1)
     _at_least("--max-n", args.max_n, 0)
+    if args.max_nodes is not None:
+        _at_least("--max-nodes", args.max_nodes, 0)
+    if args.max_seconds is not None:
+        _at_least("--max-seconds", args.max_seconds, 0)
     signed, family = read_signed_edge_list(_load(args, args.signed))
     budget = Budget(args.max_nodes, args.max_seconds)
     try:
@@ -254,6 +260,10 @@ def _sweep_rows(args) -> list[tuple[int, int, int]]:
     if args.family in ("I", "all"):
         # j = 1 would repeat the P(n, k) rows
         rows += family_cases(ns, range(max(js.start, 2), js.stop), ks)
+    if not rows:
+        raise InvalidParametersError(
+            f"no instance of --family {args.family} in --n {args.n} --j {args.j} --k {args.k}"
+        )
     return rows
 
 

@@ -132,39 +132,33 @@ def is_signed_dds(s: SignedGraph, members: Iterable[int], k: int = 2) -> DdsVerd
 def _cut_consistent(s: SignedGraph, d: frozenset[int]) -> bool:
     # parity union-find over the cut edges of d, each read once from d's side:
     # odd[v] is 1 when v's mark differs from root[v]'s, and a negative edge
-    # needs its ends' marks to differ.  A decision for one signature, with no
-    # per-graph set-up; _cut_balanced is the search's batch kernel over every
-    # signature at once.
+    # needs its ends' marks to differ.  A tree only ever hangs under the
+    # member being walked, so each member is still a singleton root when its
+    # turn comes and needs no find of its own.  A decision for one signature,
+    # with no per-graph set-up; _cut_balanced is the search's batch kernel
+    # over every signature at once.
     adj, signs = s.graph.adj, s.signs
     root = list(range(s.graph.n))
     odd = [0] * s.graph.n
     for u in d:
-        a, pa = u, 0
-        while root[a] != a:
-            # path halving keeps the trees shallow on long cuts
-            p = root[a]
-            odd[a] ^= odd[p]
-            root[a] = root[p]
-            pa ^= odd[a]
-            a = root[a]
         for w in adj[u]:
             if w in d:
                 continue
             b, pb = w, 0
             while root[b] != b:
+                # path halving keeps the trees shallow on long cuts
                 p = root[b]
                 odd[b] ^= odd[p]
                 root[b] = root[p]
                 pb ^= odd[b]
                 b = root[b]
             neg = signs[(u, w) if u < w else (w, u)] < 0
-            if a == b:
-                if pa ^ pb != neg:
+            if b == u:
+                if pb != neg:
                     return False
             else:
-                # w's tree hangs under u's root, which stays a root for u's other edges
-                root[b] = a
-                odd[b] = pa ^ pb ^ neg
+                root[b] = u
+                odd[b] = pb ^ neg
     return True
 
 

@@ -118,36 +118,27 @@ def cycle_decomposition(g: Graph) -> tuple[tuple[int, ...], ...]:
     if not is_even(g):
         bad = next(v for v in range(g.n) if len(g.adj[v]) % 2)
         raise NotEvenGraphError(f"vertex {bad} has odd degree {len(g.adj[bad])}")
-    unused = set(g.edges)
+    # left[v] holds v's neighbors along unused edges, in ascending order
+    left = [list(ws) for ws in g.adj]
     cycles: list[tuple[int, ...]] = []
-
-    def smallest_unused(v: int) -> int | None:
-        for w in g.adj[v]:
-            if ((v, w) if v < w else (w, v)) in unused:
-                return w
-        return None
-
     for start in range(g.n):
-        while smallest_unused(start) is not None:
-            stack = [start]
-            pos = {start: 0}
-            while stack:
-                v = stack[-1]
-                w = smallest_unused(v)
-                if w is None:
-                    # all incident edges consumed; only the start can be left
-                    assert len(stack) == 1
-                    break
-                unused.remove((v, w) if v < w else (w, v))
-                j = pos.get(w)
-                if j is None:
-                    pos[w] = len(stack)
-                    stack.append(w)
-                else:
-                    cycles.append(tuple(stack[j:]))
-                    for x in stack[j + 1 :]:
-                        del pos[x]
-                    del stack[j + 1 :]
+        stack = [start]
+        pos = {start: 0}
+        while left[stack[-1]]:
+            v = stack[-1]
+            w = left[v].pop(0)
+            left[w].remove(v)
+            j = pos.get(w)
+            if j is None:
+                pos[w] = len(stack)
+                stack.append(w)
+            else:
+                cycles.append(tuple(stack[j:]))
+                for x in stack[j + 1 :]:
+                    del pos[x]
+                del stack[j + 1 :]
+        # all incident edges consumed; only the start can be left
+        assert len(stack) == 1
     return tuple(cycles)
 
 

@@ -140,12 +140,11 @@ def is_balanced(s: SignedGraph) -> BalanceCertificate:
 def _conflict_cycle(
     parent: list[int], depth: list[int], u: int, w: int
 ) -> tuple[int, ...]:
-    # tree path u -> lca -> w, closed by the conflicting non-tree edge (w, u)
+    # tree path u -> lca -> w, closed by the conflicting non-tree edge (w, u).
+    # The BFS meets a conflict from the end it visits first, never deeper than
+    # the other, so depth[w] is depth[u] or depth[u] + 1 and only w can climb.
     pu, pw = [u], [w]
     a, b = u, w
-    while depth[a] > depth[b]:
-        a = parent[a]
-        pu.append(a)
     while depth[b] > depth[a]:
         b = parent[b]
         pw.append(b)

@@ -204,6 +204,19 @@ def test_sign_from_explicit_file(tmp_path, cube_file, capsys):
     assert len(s.negative_edges()) == 12
 
 
+def test_sign_refuses_signs_for_another_graph(tmp_path, cube_file, capsys):
+    # the cube with one edge missing has the cube's vertices but not its edges
+    g, _ = read_edge_list(cube_file.read_text())
+    signs = tmp_path / "other.sig"
+    signs.write_text("8 11\n" + "".join(f"{a} {b} -\n" for a, b in g.edges[:-1]))
+    out_file = tmp_path / "out"
+    argv = ["sign", str(cube_file), "--signs", str(signs), "-o", str(out_file)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --signs file is for a different graph\n"
+    assert not out_file.exists()
+
+
 def test_sign_accepts_a_signed_file_as_its_graph(tmp_path, cube_file, cube_signed, capsys):
     # the sign column of the input is dropped: re-signing a .sig names the same graph
     negative = tmp_path / "neg.sig"
@@ -391,6 +404,12 @@ def test_construct_rejects_tight_on_odd(capsys):
     assert code == 2
 
 
+def test_construct_rejects_tight_beyond_pn1(capsys):
+    code, out, err = run(capsys, "construct", "P", "5", "2", "--tight")
+    assert (code, out) == (2, "")
+    assert err == "error: --tight applies to P(n,1) only\n"
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_construct_rejects_nonpositive_signature_count(capsys, count):
     code, out, err = run(capsys, "construct", "P", "17", "2", "--signatures", count)
@@ -499,12 +518,29 @@ def test_solve_rejects_family_header_that_miscounts_vertices(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "limit", [["--max-nodes", "-5"], ["--max-seconds", "-1"], ["--max-seconds", "nan"]]
+    "limit",
+    [
+        (["--max-nodes", "-5"], "--max-nodes must be >= 0, got -5"),
+        (["--max-seconds", "-1"], "--max-seconds must be >= 0, got -1.0"),
+        (["--max-seconds", "nan"], "--max-seconds must be >= 0, got nan"),
+    ],
 )
 def test_solve_rejects_negative_or_nan_budget(cube_signed, capsys, limit):
-    code, out, err = run(capsys, "solve", str(cube_signed), *limit)
+    flags, message = limit
+    code, out, err = run(capsys, "solve", str(cube_signed), *flags)
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["verify", "--set", "u0"], ["solve"]])
+@pytest.mark.parametrize("existing", [True, False])
+def test_nonpositive_k_is_refused_before_the_file_is_read(
+    command, existing, tmp_path, cube_signed, capsys
+):
+    path = cube_signed if existing else tmp_path / "missing.sig"
+    code, out, err = run(capsys, command[0], str(path), *command[1:], "--k", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --k must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("cap", ["-1", "-24"])
@@ -622,6 +658,28 @@ def test_sweep_refuses_bad_range(flag, spec, tmp_path, capsys):
     code, out, err = run(capsys, "sweep", f"{flag}={spec}", "-o", str(out_file))
     assert code == 2 and out == ""
     assert err == f"error: bad range {spec!r} (expected A or A..B with decimal A <= B)\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "ranges,message",
+    [
+        # P(5,3) breaks 2k < n
+        (["--n", "5", "--k", "3"], "no instance of --family all in --n 5 --j 2..5 --k 3"),
+        # the I rows start at j = 2
+        (
+            ["--family", "I", "--n", "5", "--j", "1..1"],
+            "no instance of --family I in --n 5 --j 1..1 --k 1..5",
+        ),
+    ],
+    ids=["2k-not-below-n", "I-j-below-2"],
+)
+def test_sweep_refuses_ranges_with_no_instance(ranges, message, tmp_path, capsys):
+    # refused before any output, the seed line included
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(capsys, "sweep", *ranges, "-o", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
     assert not out_file.exists()
 
 

@@ -80,6 +80,10 @@ def test_k_tuple_verdict_edge_cases():
     assert is_k_tuple_dominating(edge, [0, 0], 2) == cov
     assert is_signed_dds(all_positive(edge), [0, 0, 0], 2) == cov
     assert is_k_tuple_dominating(edge, [1, 0, 1, 0], 2).ok
+    with pytest.raises(ValueError, match=r"^k must be positive, got 0$"):
+        is_k_tuple_dominating(edge, [0, 1], 0)
+    with pytest.raises(ValueError, match=r"^k must be positive, got 0$"):
+        is_signed_dds(all_positive(edge), [0, 1], 0)
 
 
 def test_signed_dds_verdict_fields():

@@ -171,6 +171,8 @@ def test_label_errors():
         label_to_index("u-1", 5)
     with pytest.raises(ValueError):
         label_to_index("u1\n", 5)
+    with pytest.raises(ValueError, match=r"^index 10 out of range for n=5$"):
+        index_to_label(10, 5)
 
 
 def test_family_graph_accessors():

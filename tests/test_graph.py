@@ -175,8 +175,20 @@ def test_cycle_decomposition_rejects_odd_degree():
 
 def test_cycle_decomposition_two_triangles_sharing_vertex():
     g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    dec = cycle_decomposition(g)
-    assert sorted(len(c) for c in dec) == [3, 3]
+    assert cycle_decomposition(g) == ((0, 1, 2), (2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "n,expected",
+    [
+        (5, ((0, 1, 2), (0, 3, 1, 4), (2, 3, 4))),
+        (7, ((0, 1, 2), (0, 3, 1, 4), (0, 5, 1, 6), (2, 3, 4), (2, 5, 3, 6), (4, 5, 6))),
+    ],
+)
+def test_cycle_decomposition_complete_graph_is_pinned(n, expected):
+    # the walk's smallest-unused-neighbor rule fixes the output exactly
+    g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    assert cycle_decomposition(g) == expected
 
 
 # --------------------------------------------------------- canonical form
@@ -185,6 +197,8 @@ def test_cycle_decomposition_two_triangles_sharing_vertex():
 def test_canonical_cycle_fixed():
     assert canonical_cycle((2, 0, 1)) == (0, 1, 2)
     assert canonical_cycle((3, 2, 1, 0)) == (0, 1, 2, 3)
+    with pytest.raises(ValueError, match=r"^a cycle needs at least 3 vertices$"):
+        canonical_cycle((1, 2))
 
 
 @given(st.lists(st.integers(0, 30), min_size=3, max_size=9, unique=True), st.data())
