@@ -36,7 +36,6 @@ from .families import (
     igraph,
     index_to_label,
     inner_blocks,
-    k4_union,
     label_to_index,
     petersen,
 )

@@ -65,6 +65,7 @@ def _igraph_edges(n: int, j: int, k: int) -> list[Edge]:
 
 
 def _k4_union_edges(m: int) -> list[Edge]:
+    # component c is the complete graph on 4c..4c+3
     return [(4 * c + a, 4 * c + b) for c in range(m) for a in range(4) for b in range(a + 1, 4)]
 
 
@@ -113,17 +114,11 @@ class FamilyInfo:
     def vertices(self) -> int:
         return _FAMILIES[self.kind][1] * self.params[0]
 
-    def _raw_edges(self) -> list[Edge]:
-        return _k4_union_edges(*self.params) if self.njk is None else _igraph_edges(*self.njk)
-
-    def edges(self) -> tuple[Edge, ...]:
-        """The family graph's edges, canonical and sorted as in `Graph.edges`."""
-        return tuple(sorted((a, b) if a < b else (b, a) for a, b in self._raw_edges()))
-
     @cached_property
     def graph(self) -> Graph:
         """The family graph, built on first access; u_i is index i and v_i is n+i."""
-        return Graph(self.vertices, self._raw_edges())
+        edges = _k4_union_edges(*self.params) if self.njk is None else _igraph_edges(*self.njk)
+        return Graph(self.vertices, edges)
 
     def header(self) -> str:
         return "# family " + " ".join((self.kind, *map(str, self.params)))
@@ -141,11 +136,6 @@ def igraph(n: int, j: int, k: int) -> FamilyInfo:
 def petersen(n: int, k: int) -> FamilyInfo:
     """P(n, k) = I(n, 1, k): one outer n-cycle, inner rim at step k."""
     return FamilyInfo("P", (n, k))
-
-
-def k4_union(m: int) -> Graph:
-    """Disjoint union of m complete graphs on 4 vertices (component c = 4c..4c+3)."""
-    return FamilyInfo("K4U", (m,)).graph
 
 
 def inner_blocks(n: int, k: int) -> tuple[frozenset[int], ...]:

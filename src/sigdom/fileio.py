@@ -101,14 +101,15 @@ def _read(text: str, signed: bool) -> tuple[Graph, dict[Edge, int], FamilyInfo |
                 raise EdgeListFormatError(f"line {ln}: conflicting sign for edge {e}")
             signs[e] = s
         edges.append(e)
-    graph = Graph(n, edges)
+    if family is None:
+        return Graph(n, edges), signs, family
     # u/v labels and the header written back out name the family's graph,
     # so the edges must be exactly that graph's, not only as many vertices
-    if family is not None and graph.edges != family.edges():
+    if set(edges) != set(family.graph.edges):
         raise EdgeListFormatError(
             f"line {header_ln}: edges are not those of {family.header()[2:]}"
         )
-    return graph, signs, family
+    return family.graph, signs, family
 
 
 def _write(graph: Graph, signs: dict[Edge, int] | None, family: FamilyInfo | None) -> str:

@@ -10,6 +10,7 @@ from random import Random
 
 import helpers
 from sigdom import (
+    FamilyInfo,
     Graph,
     all_positive,
     analyze_half_dds,
@@ -22,7 +23,6 @@ from sigdom import (
     is_forest,
     is_k_tuple_dominating,
     is_signed_dds,
-    k4_union,
     min_signed_dds,
     min_signed_dds_many,
     petersen,
@@ -114,7 +114,7 @@ def test_criterion_4_tight_cases():
     if min_signed_dds(k4).value != 2:
         failures.append(("K4", min_signed_dds(k4).value))
     for m in (1, 2, 3):
-        got = min_signed_dds(all_positive(k4_union(m))).value
+        got = min_signed_dds(all_positive(FamilyInfo("K4U", (m,)).graph)).value
         if got != 2 * m:
             failures.append(("K4U", m, got))
     report(4, "tight cases", failures)

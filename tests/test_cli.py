@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from sigdom import (
     EdgeListFormatError,
     FamilyInfo,
     Graph,
+    construct_family,
     read_edge_list,
     read_signed_edge_list,
 )
@@ -382,6 +384,29 @@ def test_construct_reports_size_and_checks(capsys):
     assert code == 0
     assert "size: 25" in out
     assert "self_check: ok" in out
+
+
+def test_construct_self_check_fails_on_a_broken_set(monkeypatch, capsys):
+    # without its smallest member the set misses some signature's check
+    def broken(n, j, k):
+        result = construct_family(n, j, k)
+        return dataclasses.replace(result, dds=result.dds - {min(result.dds)})
+
+    monkeypatch.setattr(cli, "construct_family", broken)
+    argv = ["construct", "P", "7", "2", "--signatures", "3", "--seed", "5"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "self_check: FAIL (signature_seed=5 FAIL, signatures=3, cut_forest=ok)"
+    )
+    code, payload, _ = run_json(capsys, *argv, "--json")
+    assert code == 1
+    assert payload["results"] == {
+        "case_tag": "gcd1_even",
+        "claimed_size": 10,
+        "set": [1, 2, 3, 4, 5, 6, 9, 10, 13],
+        "self_check": False,
+    }
 
 
 def test_construct_tight(capsys):

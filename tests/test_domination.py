@@ -9,6 +9,7 @@ import helpers
 from sigdom import (
     Budget,
     DdsVerdict,
+    FamilyInfo,
     Graph,
     InfeasibleError,
     NotCubicError,
@@ -25,7 +26,6 @@ from sigdom import (
     is_balanced,
     is_k_tuple_dominating,
     is_signed_dds,
-    k4_union,
     min_k_tuple_dominating,
     min_signed_dds,
     min_signed_dds_many,
@@ -343,7 +343,7 @@ def test_min_k_tuple_frozen_values():
     assert (r.value, sorted(r.witness), r.nodes_explored) == (3, [0, 1, 4], 19)
     r = min_k_tuple_dominating(wheel, k=3)
     assert (r.value, sorted(r.witness), r.nodes_explored) == (5, [0, 1, 2, 4, 5], 38)
-    assert min_k_tuple_dominating(k4_union(2)).value == 4
+    assert min_k_tuple_dominating(FamilyInfo("K4U", (2,)).graph).value == 4
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert min_k_tuple_dominating(c5).value == 4
     path4 = Graph(4, [(0, 1), (1, 2), (2, 3)])

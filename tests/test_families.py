@@ -13,7 +13,6 @@ from sigdom import (
     igraph,
     index_to_label,
     inner_blocks,
-    k4_union,
     label_to_index,
     petersen,
 )
@@ -191,7 +190,7 @@ def test_family_graph_accessors():
 
 @given(st.integers(1, 5))
 def test_k4_union_structure(m):
-    g = k4_union(m)
+    g = FamilyInfo("K4U", (m,)).graph
     assert g.n == 4 * m
     assert len(g.edges) == 6 * m
     assert g.is_cubic
@@ -204,7 +203,7 @@ def test_k4_union_structure(m):
 
 def test_k4_union_rejects_nonpositive():
     with pytest.raises(InvalidParametersError):
-        k4_union(0)
+        FamilyInfo("K4U", (0,)).graph
 
 
 # ------------------------------------------------------------ inner blocks

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given
 
@@ -57,6 +59,30 @@ def test_signed_family_round_trip():
     back, got = read_signed_edge_list(write_signed_edge_list(s, info))
     assert back == s
     assert got == info
+
+
+def _scrambled(text, seed):
+    """Headed edge-list text with every row reversed, the rows shuffled and one repeated."""
+    header, counts, *rows = text.splitlines()
+    n, m = counts.split()
+    rows = [" ".join([b, a, *rest]) for a, b, *rest in map(str.split, rows)]
+    Random(seed).shuffle(rows)
+    rows.append(rows[0])
+    return "\n".join([header, f"{n} {int(m) + 1}", *rows]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "fam", [FamilyInfo("P", (5, 2)), FamilyInfo("I", (7, 2, 3)), FamilyInfo("K4U", (2,))]
+)
+def test_headed_read_takes_edges_in_any_order_and_repeated(fam):
+    # the header check compares edge sets, not the rows as written
+    plain = _scrambled(write_edge_list(fam.graph, fam), 1)
+    assert read_edge_list(plain)[0] == fam.graph
+    signed = random_signature(fam.graph, seed=2)
+    back, got = read_signed_edge_list(_scrambled(write_signed_edge_list(signed, fam), 3))
+    # signed is over fam.graph, so this also compares the graphs
+    assert back == signed
+    assert got == fam
 
 
 # ------------------------------------------------------------ tolerant input
