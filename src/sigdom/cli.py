@@ -7,6 +7,7 @@ not even, failed sandwich), 2 usage or input errors, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -26,7 +27,14 @@ from .domination import (
     is_signed_dds,
     min_signed_dds,
 )
-from .families import _FAMILIES, FamilyInfo, InvalidParametersError, family_cases, igraph
+from .families import (
+    _FAMILIES,
+    MAX_VERTICES,
+    FamilyInfo,
+    InvalidParametersError,
+    family_cases,
+    igraph,
+)
 from .fileio import (
     format_vertex_set,
     parse_vertex_spec,
@@ -52,15 +60,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _say(args, line: str) -> None:
-    if not args.json:
-        print(line)
-
-
-def _write_out(args, text: str) -> None:
-    if args.output:
-        Path(args.output).write_text(text)
-    elif not args.json:
+def _write_out(path: str | None, text: str) -> None:
+    if path:
+        Path(path).write_text(text)
+    else:
         sys.stdout.write(text)
 
 
@@ -80,7 +83,7 @@ def _at_least(flag: str, value: float, low: int) -> None:
 def _seed(args) -> int:
     """Print the seed and record it as the report's `seed`."""
     _at_least("--seed", args.seed, 0)
-    _say(args, f"seed: {args.seed}")
+    print(f"seed: {args.seed}")
     args.report_seed = args.seed
     return args.seed
 
@@ -92,7 +95,7 @@ def _cycle_text(cycle: tuple[int, ...], family: FamilyInfo | None) -> str:
 def cmd_gen(args) -> tuple[int, dict]:
     family = FamilyInfo(args.family, tuple(args.params))
     graph = family.graph
-    _write_out(args, write_edge_list(graph, family))
+    _write_out(args.output, write_edge_list(graph, family))
     return EXIT_OK, {"n": graph.n, "m": len(graph.edges), "family": family.header()[2:]}
 
 
@@ -109,7 +112,7 @@ def cmd_sign(args) -> tuple[int, dict]:
             raise InvalidParametersError("--signs file is for a different graph")
     else:
         signed = random_signature(graph, _seed(args), args.random)
-    _write_out(args, write_signed_edge_list(signed, family))
+    _write_out(args.output, write_signed_edge_list(signed, family))
     return EXIT_OK, {"negative_edges": len(signed.negative_edges())}
 
 
@@ -118,32 +121,29 @@ def cmd_verify(args) -> tuple[int, dict]:
     signed, family = read_signed_edge_list(_load(args, args.signed))
     members = parse_vertex_spec(args.set, signed.graph.n, family)
     verdict = is_signed_dds(signed, members, args.k)
-    _say(args, f"set: {format_vertex_set(members, family)}")
-    _say(args, f"ok: {str(verdict.ok).lower()}")
+    print(f"set: {format_vertex_set(members, family)}")
+    print(f"ok: {str(verdict.ok).lower()}")
     if not verdict.ok:
         if verdict.failure_kind == "coverage":
             where = format_vertex_set(frozenset([verdict.failure_vertex]), family)
-            _say(
-                args,
-                f"failure: coverage vertex={where} multiplicity={verdict.failure_multiplicity}",
-            )
+            print(f"failure: coverage vertex={where} multiplicity={verdict.failure_multiplicity}")
         else:
             cyc = _cycle_text(verdict.witness_cycle, family)
-            _say(args, f"failure: unbalanced_cut cycle={cyc}")
+            print(f"failure: unbalanced_cut cycle={cyc}")
     return (EXIT_OK if verdict.ok else EXIT_FAIL), dict(vars(verdict))
 
 
 def cmd_balance(args) -> tuple[int, dict]:
     signed, family = read_signed_edge_list(_load(args, args.signed))
     cert = is_balanced(signed)
-    _say(args, f"balanced: {str(cert.balanced).lower()}")
+    print(f"balanced: {str(cert.balanced).lower()}")
     results: dict = {"balanced": cert.balanced}
     if cert.balanced:
         marking = "".join("+" if m > 0 else "-" for m in cert.marking)
-        _say(args, f"marking: {marking}")
+        print(f"marking: {marking}")
         results["marking"] = marking
     else:
-        _say(args, f"negative_cycle: {_cycle_text(cert.witness_cycle, family)}")
+        print(f"negative_cycle: {_cycle_text(cert.witness_cycle, family)}")
         results["witness_cycle"] = list(cert.witness_cycle)
     return (EXIT_OK if cert.balanced else EXIT_FAIL), results
 
@@ -151,7 +151,7 @@ def cmd_balance(args) -> tuple[int, dict]:
 def cmd_switch(args) -> tuple[int, dict]:
     signed, family = read_signed_edge_list(_load(args, args.signed))
     members = parse_vertex_spec(args.set, signed.graph.n, family)
-    _write_out(args, write_signed_edge_list(switch(signed, members), family))
+    _write_out(args.output, write_signed_edge_list(switch(signed, members), family))
     return EXIT_OK, {"switched": format_vertex_set(members, family)}
 
 
@@ -159,16 +159,16 @@ def cmd_decompose_cut(args) -> tuple[int, dict]:
     graph, family = read_edge_list(_load(args, args.graph))
     members = parse_vertex_spec(args.set, graph.n, family)
     cut = cut_subgraph(graph, members)
-    _say(args, f"cut_edges: {len(cut.edges)}")
+    print(f"cut_edges: {len(cut.edges)}")
     results: dict = {"cut_edges": len(cut.edges)}
     try:
         decomposition = cycle_decomposition(cut)
     except NotEvenGraphError as exc:
-        _say(args, f"not_even: {exc}")
+        print(f"not_even: {exc}")
         results["not_even"] = str(exc)
         return EXIT_FAIL, results
     for cyc in decomposition:
-        _say(args, f"cycle: {_cycle_text(cyc, family)}")
+        print(f"cycle: {_cycle_text(cyc, family)}")
     results["cycles"] = [list(c) for c in decomposition]
     return EXIT_OK, results
 
@@ -199,10 +199,10 @@ def cmd_construct(args) -> tuple[int, dict]:
         forest = is_forest(cut_subgraph(graph, result.dds))
         ok = ok and forest
         checks.append(f"cut_forest={'ok' if forest else 'FAIL'}")
-    _say(args, f"case: {result.case_tag}")
-    _say(args, f"size: {result.claimed_size}")
-    _say(args, f"set: {format_vertex_set(result.dds, family)}")
-    _say(args, f"self_check: {'ok' if ok else 'FAIL'} ({', '.join(checks)})")
+    print(f"case: {result.case_tag}")
+    print(f"size: {result.claimed_size}")
+    print(f"set: {format_vertex_set(result.dds, family)}")
+    print(f"self_check: {'ok' if ok else 'FAIL'} ({', '.join(checks)})")
     return (EXIT_OK if ok else EXIT_FAIL), {
         "case_tag": result.case_tag,
         "claimed_size": result.claimed_size,
@@ -223,15 +223,15 @@ def cmd_solve(args) -> tuple[int, dict]:
     try:
         result = min_signed_dds(signed, args.k, budget, args.max_n)
     except InfeasibleError as exc:
-        _say(args, f"infeasible: {exc}")
+        print(f"infeasible: {exc}")
         return EXIT_FAIL, {"infeasible": str(exc)}
-    _say(args, f"value: {result.value if result.value is not None else 'unknown'}")
+    print(f"value: {result.value if result.value is not None else 'unknown'}")
     witness = (
         format_vertex_set(result.witness, family) if result.witness is not None else "none"
     )
-    _say(args, f"witness: {witness}")
-    _say(args, f"nodes_explored: {result.nodes_explored}")
-    _say(args, f"limits_hit: {str(result.limits_hit).lower()}")
+    print(f"witness: {witness}")
+    print(f"nodes_explored: {result.nodes_explored}")
+    print(f"limits_hit: {str(result.limits_hit).lower()}")
     return (EXIT_BUDGET if result.limits_hit else EXIT_OK), {
         **vars(result),
         "witness": None if result.witness is None else sorted(result.witness),
@@ -254,12 +254,19 @@ def _sweep_rows(args) -> list[tuple[int, int, int]]:
     ns = _parse_range(args.n)
     ks = _parse_range(args.k)
     js = _parse_range(args.j)
+    if 2 * ns[-1] > MAX_VERTICES:  # P(n, k) and I(n, j, k) have 2n vertices
+        raise InvalidParametersError(
+            f"--n {args.n} reaches {2 * ns[-1]} vertices, above the {MAX_VERTICES}-vertex ceiling"
+        )
+    # every row has j <= k and 2k < n, so steps from (max n + 1) / 2 on give none
+    stop = (ns[-1] + 1) // 2
+    ks = range(ks.start, min(ks.stop, stop))
     rows = []
     if args.family in ("P", "all"):
         rows += family_cases(ns, (1,), ks)
     if args.family in ("I", "all"):
         # j = 1 would repeat the P(n, k) rows
-        rows += family_cases(ns, range(max(js.start, 2), js.stop), ks)
+        rows += family_cases(ns, range(max(js.start, 2), min(js.stop, stop)), ks)
     if not rows:
         raise InvalidParametersError(
             f"no instance of --family {args.family} in --n {args.n} --j {args.j} --k {args.k}"
@@ -273,7 +280,7 @@ def _instance_seed(seed: int, n: int, j: int, k: int) -> int:
 
 
 def cmd_sweep(args) -> tuple[int, dict]:
-    cases = _sweep_rows(args)  # bad flags are refused before the seed is printed
+    cases = _sweep_rows(args)  # check order decides only which error is reported
     _at_least("--solver-cap", args.solver_cap, 0)
     if args.solver_cap > _MAX_SEARCH_VERTICES:
         raise InvalidParametersError(
@@ -316,7 +323,7 @@ def cmd_sweep(args) -> tuple[int, dict]:
         ]
         writer.writerow(row)
         rows.append(row)
-    _write_out(args, buf.getvalue())
+    _write_out(args.output, buf.getvalue())
     return (EXIT_OK if all_ok else EXIT_FAIL), {"rows": rows, "all_sandwich_ok": all_ok}
 
 
@@ -397,28 +404,32 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Dispatch a subcommand; with --json, print its one report.
+    """Dispatch a subcommand; the one place that decides what reaches stdout.
 
-    Each `cmd_*` returns (exit code, results) and reads its inputs and seed
-    through `_load` and `_seed`, which fill the report's `inputs` and `seed`.
+    Each `cmd_*` prints its text and returns (exit code, results); `_load` and
+    `_seed` fill the report's `inputs` and `seed`. Its stdout goes to a buffer
+    (so calls must not run concurrently), which `main` writes, or with --json
+    only the report, when it returns, and drops on a usage error (exit 2).
     """
     args = _parser().parse_args(argv)
     args.inputs, args.report_seed = {}, None
     started = time.perf_counter()
     try:
-        code, results = args.func(args)
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code, results = args.func(args)
     except (ValueError, SizeLimitExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        report = {
+    if not args.json:
+        sys.stdout.write(text.getvalue())
+    else:
+        print(json.dumps({
             "command": args.command,
             "inputs": args.inputs,
             "seed": args.report_seed,
             "results": results,
             "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-        }
-        print(json.dumps(report))
+        }))
     return code
 
 

@@ -10,6 +10,11 @@ from typing import Callable, Iterator, Sequence
 from .graph import Edge, Graph
 
 
+# the most vertices a graph built from outside input may have; at about 0.5 KB
+# per vertex a family this large builds in under a second and about 60 MB
+MAX_VERTICES = 100_000
+
+
 class InvalidParametersError(ValueError):
     """Family parameters outside the validity range."""
 
@@ -98,6 +103,11 @@ class FamilyInfo:
             validate_params(*self.njk)
         elif self.params[0] < 1:
             raise InvalidParametersError(f"need at least one component, got m={self.params[0]}")
+        if self.vertices > MAX_VERTICES:
+            raise InvalidParametersError(
+                f"{self.header()[2:]} has {self.vertices} vertices, "
+                f"above the {MAX_VERTICES}-vertex ceiling"
+            )
 
     @property
     def njk(self) -> tuple[int, int, int] | None:

@@ -10,7 +10,13 @@ tokens.  Writers emit edges in canonical sorted order.
 
 from __future__ import annotations
 
-from .families import FamilyInfo, InvalidParametersError, index_to_label, label_to_index
+from .families import (
+    MAX_VERTICES,
+    FamilyInfo,
+    InvalidParametersError,
+    index_to_label,
+    label_to_index,
+)
 from .graph import Edge, Graph
 from .signed import SignedGraph
 
@@ -65,6 +71,8 @@ def _header_counts(
     if len(tokens) != 2:
         raise EdgeListFormatError(f"line {ln}: expected 'n m'")
     n, m = _ints(tokens, ln, "'n m'")
+    if n > MAX_VERTICES:
+        raise EdgeListFormatError(f"line {ln}: n={n} is above the {MAX_VERTICES}-vertex ceiling")
     if len(rows) - 1 != m:
         raise EdgeListFormatError(
             f"line {ln}: header promises {m} edge lines, found {len(rows) - 1}"

@@ -322,6 +322,33 @@ def test_json_report_for_every_subcommand(case, tmp_path, cube_file, cube_signed
     assert payload["timing_ms"] >= 0
 
 
+def test_json_stdout_is_the_report_alone_when_the_command_writes_text(capsys):
+    # without -o, gen writes its edge list to stdout; under --json only the report is left
+    code, out, err = run(capsys, "gen", "P", "5", "2", "--json")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out)["results"] == {"n": 10, "m": 15, "family": "family P 5 2"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sign", "GRAPH", "--random", "0.5", "--seed", "3", "-o", "MISSING/x.sig"],
+        ["sweep", "--n", "5..6", "--k", "1..2", "-o", "MISSING/t.csv"],
+    ],
+    ids=["sign", "sweep"],
+)
+def test_refused_command_leaves_nothing_on_stdout(argv, tmp_path, cube_file, capsys):
+    # both print their seed line before -o fails; main drops it with the rest
+    missing = tmp_path / "missing"
+    argv = [a.replace("GRAPH", str(cube_file)).replace("MISSING", str(missing)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not missing.exists()
+
+
 # --------------------------------------------------------------- balance
 
 
@@ -725,7 +752,69 @@ def test_sweep_rows_match_sweep_cases(max_n, k_max):
     assert _sweep_rows(args) == expected
 
 
+@pytest.mark.parametrize("flag", ["--k", "--j"])
+def test_sweep_clips_steps_that_give_no_row(flag, capsys):
+    # every row has j <= k and 2k < n, so with n <= 7 no step above 3 gives one;
+    # a range of 10**12 steps is clipped by value before anything is enumerated
+    base = ["sweep", "--n", "5..7", "--solver-cap", "0"]
+    code, wide, err = run(capsys, *base, flag, "2..1000000000000")
+    assert (code, err) == (0, "")
+    assert wide == run(capsys, *base, flag, "2..3")[1]
+
+
+def test_sweep_with_only_clipped_steps_quotes_the_flags_as_given(capsys):
+    code, out, err = run(capsys, "sweep", "--n", "5", "--k", "3..1000000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: no instance of --family all in --n 5 --j 2..5 --k 3..1000000000000\n"
+
+
+@pytest.mark.parametrize("spec", ["5..50001", "50001", "1000000000000"])
+def test_sweep_refuses_n_above_the_vertex_ceiling(spec, capsys):
+    code, out, err = run(capsys, "sweep", "--n", spec)
+    top = int(spec.rpartition(".")[2])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: --n {spec} reaches {2 * top} vertices, above the 100000-vertex ceiling\n"
+    )
+
+
+def test_sweep_accepts_n_at_the_vertex_ceiling():
+    # only the row list is built here, not the graph
+    args = build_parser().parse_args(["sweep", "--family", "P", "--n", "50000", "--k", "1"])
+    assert _sweep_rows(args) == [(50_000, 1, 1)]
+
+
 # ------------------------------------------------------------------ misc
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gen", "P", "50001", "2"], "family P 50001 2 has 100002 vertices"),
+        (["gen", "I", "50001", "2", "3", "-o", "OUT"], "family I 50001 2 3 has 100002 vertices"),
+        (["gen", "K4U", "25001"], "family K4U 25001 has 100004 vertices"),
+        (["construct", "P", "50001", "2"], "family P 50001 2 has 100002 vertices"),
+        (["construct", "P", "50001", "1", "--tight"], "family P 50001 1 has 100002 vertices"),
+        (["sign", "COUNT", "--all-positive"], "line 1: n=100001 is"),
+        (["balance", "COUNT"], "line 1: n=100001 is"),
+        (["verify", "COUNT", "--set", "0"], "line 1: n=100001 is"),
+        (["switch", "COUNT", "--set", "0", "-o", "OUT"], "line 1: n=100001 is"),
+        (["decompose-cut", "COUNT", "--set", "0"], "line 1: n=100001 is"),
+        (["solve", "COUNT"], "line 1: n=100001 is"),
+        (["sign", "HEADED", "--all-positive"], "line 1: family P 50001 2 has 100002 vertices"),
+    ],
+)
+def test_vertex_ceiling_is_a_usage_error_on_every_path(argv, message, tmp_path, capsys):
+    count, headed = tmp_path / "count.edges", tmp_path / "headed.edges"
+    count.write_text("100001 0\n")
+    headed.write_text("# family P 50001 2\n100002 0\n")
+    out_file = tmp_path / "out"
+    paths = {"COUNT": str(count), "HEADED": str(headed), "OUT": str(out_file)}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert err.endswith(" above the 100000-vertex ceiling\n") and err.count("\n") == 1
+    assert not out_file.exists()
 
 
 def test_unknown_family_is_usage_error(capsys):

@@ -16,6 +16,7 @@ from sigdom import (
     label_to_index,
     petersen,
 )
+from sigdom.families import MAX_VERTICES
 
 
 def valid_pnk():
@@ -204,6 +205,36 @@ def test_k4_union_structure(m):
 def test_k4_union_rejects_nonpositive():
     with pytest.raises(InvalidParametersError):
         FamilyInfo("K4U", (0,)).graph
+
+
+# ---------------------------------------------------------- vertex ceiling
+
+
+@pytest.mark.parametrize(
+    "kind,params,vertices",
+    [("P", (50_001, 1), 100_002), ("I", (50_001, 2, 3), 100_002), ("K4U", (25_001,), 100_004)],
+)
+def test_family_above_the_vertex_ceiling_is_refused(kind, params, vertices):
+    # the smallest family of each kind above the ceiling, refused from its vertex count
+    header = " ".join(("family", kind, *map(str, params)))
+    with pytest.raises(InvalidParametersError) as exc:
+        FamilyInfo(kind, params)
+    assert str(exc.value) == (
+        f"{header} has {vertices} vertices, above the {MAX_VERTICES}-vertex ceiling"
+    )
+
+
+def test_family_parameters_are_checked_before_the_ceiling():
+    with pytest.raises(InvalidParametersError, match="needs 1 <= k and 2k < n"):
+        petersen(10**9, 10**9)
+    with pytest.raises(InvalidParametersError, match="ceiling"):
+        igraph(10**30, 2, 3)
+
+
+def test_family_at_the_vertex_ceiling_is_accepted_without_a_build():
+    for fam in (petersen(50_000, 2), igraph(50_000, 2, 3), FamilyInfo("K4U", (25_000,))):
+        assert fam.vertices == MAX_VERTICES == 100_000
+        assert "graph" not in vars(fam)
 
 
 # ------------------------------------------------------------ inner blocks

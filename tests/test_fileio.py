@@ -180,6 +180,27 @@ def test_error_messages_carry_line_numbers():
         read_edge_list("3 2\n0 1\n1 2 +\n")
 
 
+@pytest.mark.parametrize("read", [read_edge_list, read_signed_edge_list])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("100001 0\n", "line 1: n=100001 is above the 100000-vertex ceiling"),
+        # a 13-byte file that would otherwise build Graph(10**9, [])
+        ("1000000000 0\n", "line 1: n=1000000000 is above the 100000-vertex ceiling"),
+        # refused before the rows are counted, and named by its own line
+        ("# big\n\n100001 5\n0 1 +\n", "line 3: n=100001 is above the 100000-vertex ceiling"),
+        (
+            "# family P 50001 2\n100002 0\n",
+            "line 1: family P 50001 2 has 100002 vertices, above the 100000-vertex ceiling",
+        ),
+    ],
+)
+def test_counts_above_the_vertex_ceiling_are_refused(read, text, message):
+    with pytest.raises(EdgeListFormatError) as exc:
+        read(text)
+    assert str(exc.value) == message
+
+
 # ------------------------------------------------------------- vertex specs
 
 
