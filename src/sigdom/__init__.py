@@ -11,6 +11,7 @@ from .domination import (
     HalfDdsReport,
     InfeasibleError,
     NotCubicError,
+    SizeLimitExceededError,
     SolveResult,
     WrongCardinalityError,
     analyze_half_dds,
@@ -42,7 +43,6 @@ from .families import (
 from .graph import (
     Graph,
     NotEvenGraphError,
-    SizeLimitExceededError,
     canonical_cycle,
     cut_subgraph,
     cycle_decomposition,

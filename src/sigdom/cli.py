@@ -45,7 +45,6 @@ from .fileio import (
 )
 from .graph import (
     NotEvenGraphError,
-    SizeLimitExceededError,
     cut_subgraph,
     cycle_decomposition,
     is_forest,
@@ -74,9 +73,9 @@ def _load(args, path: str) -> str:
     return text
 
 
-def _at_least(flag: str, value: float, low: int) -> None:
-    """Refuse a flag's value below `low`, or NaN, naming the flag."""
-    if not value >= low:
+def _at_least(flag: str, value: float | None, low: int) -> None:
+    """Refuse a flag's value below `low`, or NaN, naming the flag; an unset flag (None) passes."""
+    if value is not None and not value >= low:
         raise InvalidParametersError(f"{flag} must be >= {low}, got {value}")
 
 
@@ -214,10 +213,8 @@ def cmd_construct(args) -> tuple[int, dict]:
 def cmd_solve(args) -> tuple[int, dict]:
     _at_least("--k", args.k, 1)
     _at_least("--max-n", args.max_n, 0)
-    if args.max_nodes is not None:
-        _at_least("--max-nodes", args.max_nodes, 0)
-    if args.max_seconds is not None:
-        _at_least("--max-seconds", args.max_seconds, 0)
+    _at_least("--max-nodes", args.max_nodes, 0)
+    _at_least("--max-seconds", args.max_seconds, 0)
     signed, family = read_signed_edge_list(_load(args, args.signed))
     budget = Budget(args.max_nodes, args.max_seconds)
     try:
@@ -417,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with contextlib.redirect_stdout(io.StringIO()) as text:
             code, results = args.func(args)
-    except (ValueError, SizeLimitExceededError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not args.json:

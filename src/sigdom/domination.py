@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 from .graph import (
     Graph,
-    SizeLimitExceededError,
     cut_subgraph,
     cycle_decomposition,
     vertex_subset,
@@ -35,6 +34,10 @@ class WrongCardinalityError(ValueError):
 
 class InfeasibleError(ValueError):
     """No set of any size can k-cover the graph (some closed neighborhood is too small)."""
+
+
+class SizeLimitExceededError(ValueError):
+    """The graph is above the search's vertex cap or its recursion-depth ceiling."""
 
 
 @dataclass(frozen=True)
@@ -184,11 +187,10 @@ class HalfDdsReport:
 
 
 def analyze_half_dds(g: Graph, members: Iterable[int]) -> HalfDdsReport:
-    if not g.is_cubic:
-        raise NotCubicError("half-order analysis needs a cubic graph")
+    half = cubic_lower_bound(g)
     d = vertex_subset(g, members)
-    if 2 * len(d) != g.n:
-        raise WrongCardinalityError(f"expected |D| = {g.n // 2}, got {len(d)}")
+    if len(d) != half:  # cubic graphs have even order
+        raise WrongCardinalityError(f"expected |D| = {half}, got {len(d)}")
     verdict = is_k_tuple_dominating(g, d, 2)
     cut = cut_subgraph(g, d)
     degs = cut.degrees()

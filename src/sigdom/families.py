@@ -109,7 +109,7 @@ class FamilyInfo:
                 f"above the {MAX_VERTICES}-vertex ceiling"
             )
 
-    @property
+    @cached_property
     def njk(self) -> tuple[int, int, int] | None:
         """(n, j, k) of the rim-and-spoke graph; None for families without u/v labels."""
         to_njk = _FAMILIES[self.kind][2]

@@ -9,10 +9,6 @@ class NotEvenGraphError(ValueError):
     """A cycle decomposition was requested for a graph with an odd-degree vertex."""
 
 
-class SizeLimitExceededError(RuntimeError):
-    """An exhaustive operation was applied above its configured size guard."""
-
-
 Edge = tuple[int, int]
 
 

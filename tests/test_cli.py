@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import sigdom
 from sigdom import (
     EdgeListFormatError,
     FamilyInfo,
@@ -541,8 +542,10 @@ def test_solve_respects_vertex_cap(tmp_path, capsys):
     run(capsys, "gen", "P", "13", "1", "-o", str(path))
     sig = tmp_path / "p13.sig"
     run(capsys, "sign", str(path), "--all-positive", "-o", str(sig))
-    code, _, err = run(capsys, "solve", str(sig))
+    code, out, err = run(capsys, "solve", str(sig))
     assert code == 2
+    assert out == ""
+    assert err == "error: 26 vertices exceeds the solver cap of 24\n"
     code, out, _ = run(capsys, "solve", str(sig), "--max-n", "26")
     assert code == 0
     assert "value: 14" in out  # 2(m+1) with n = 2m+1 = 13
@@ -815,6 +818,13 @@ def test_vertex_ceiling_is_a_usage_error_on_every_path(argv, message, tmp_path, 
     assert err.startswith(f"error: {message}")
     assert err.endswith(" above the 100000-vertex ceiling\n") and err.count("\n") == 1
     assert not out_file.exists()
+
+
+def test_every_exported_error_is_a_value_error():
+    # main maps ValueError and OSError to exit 2, so a refusal outside them would be a traceback
+    errors = [x for x in vars(sigdom).values() if isinstance(x, type) and issubclass(x, Exception)]
+    assert errors
+    assert [e.__name__ for e in errors if not issubclass(e, ValueError)] == []
 
 
 def test_unknown_family_is_usage_error(capsys):

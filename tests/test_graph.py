@@ -48,6 +48,11 @@ def test_equality_and_hash():
     c = Graph(5, [(0, 1), (2, 3)])
     assert a == b and hash(a) == hash(b)
     assert a != c
+    assert (Graph(1) == 1) is False  # __eq__ defers to the other operand
+
+
+def test_repr_names_the_counts():
+    assert repr(Graph(4, helpers.K4_EDGES)) == "Graph(n=4, m=6)"
 
 
 def test_cube_closed_neighborhoods():

@@ -59,6 +59,14 @@ def test_library_built_signatures_pass_validation(data, seed, pick):
         assert tuple(s.signs) == s.graph.edges
 
 
+def test_equality_hash_and_repr():
+    a, b = k4_one_negative(), k4_one_negative()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != all_positive(K4)
+    assert (all_positive(K4) == K4) is False  # __eq__ defers to the other operand
+    assert repr(all_positive(K4)) == "SignedGraph(n=4, m=6, negatives=0)"
+
+
 def test_reversed_orientation_with_same_sign_is_fine():
     signs = {e: 1 for e in K4.edges}
     signs[(1, 0)] = 1
