@@ -201,7 +201,11 @@ def analyze_half_dds(g: Graph, members: Iterable[int]) -> HalfDdsReport:
 
 
 class _OutOfBudget(Exception):
-    pass
+    """Ends the search at a budget; its one argument is the node count to report."""
+
+
+class _Done(Exception):
+    """Ends the search once every acceptance test has its answer."""
 
 
 # rec in _solve recurses once per included vertex, and a size level can
@@ -235,9 +239,21 @@ def _solve(
     vertices w whose reach, |N[w]| less its members excluded so far, is at
     most k+t.  Excluding i is pruned exactly when N[i]'s mask meets level 0;
     otherwise it moves N[i] down one level.  The deficit rule prunes a
-    branch whose deficit exceeds what the remaining picks could cover.  A
-    parent counts and tests its children, and a call walks its line of
-    exclude children in a loop, so only an include costs a call.
+    branch whose deficit exceeds what the remaining picks could cover.
+
+    A node is counted when its parent generates it: the root of each size,
+    every include child, and every exclude child the reach rule keeps (an
+    include child pruned by the deficit rule still counts).  A parent counts
+    and tests its children, and a call walks its line of exclude children in
+    a loop, so only an include costs a call.  Along a line, the exclude child
+    of vertex i-1 and the include child of vertex i are counted in one step
+    of two; an exclude child that is a forced tail (every vertex left must
+    be included) is counted alone.  The budget is checked at each step of
+    two and before each acceptance test, not where a root or a call's first
+    include child is counted.  So the count can pass `max_nodes` by at most
+    one path of includes before the search stops, no answer is taken past
+    it, and a search stopped by `max_nodes` reports the first node past it,
+    max_nodes + 1, as though it had stopped there.
 
     One search serves `count` acceptance tests: `accept(mask, pending)`
     gets each coverage-passing mask and the bitmask of the tests still
@@ -289,64 +305,76 @@ def _solve(
     pending = (1 << count) - 1  # bit i: test i has no answer yet
     nodes = 0
 
-    def tick() -> None:
+    def tick(nodes: int) -> None:
         # nodes passed check_at: past the node budget, or every 2048 nodes the clock
         nonlocal check_at
-        if nodes > max_nodes or time.monotonic() > deadline:
-            raise _OutOfBudget
+        if nodes > max_nodes:
+            # checks may lag the count by one path of includes: report the first
+            # node past the budget
+            raise _OutOfBudget(math.floor(max_nodes) + 1)
+        if time.monotonic() > deadline:
+            raise _OutOfBudget(nodes)
         check_at = min(max_nodes, nodes | 2047)
 
-    def emit(mask: int) -> bool:
+    def emit(mask: int, nodes: int) -> None:
         nonlocal pending
+        if nodes > check_at:  # no answer from past the budget
+            tick(nodes)
         accepted = accept(mask, pending)
         if accepted:
             pending ^= accepted
             result = SolveResult(size, frozenset(v for v in range(n) if mask >> v & 1), nodes, False)
             results[:] = [result if accepted >> i & 1 else r for i, r in enumerate(results)]
-        return not pending
+            if not pending:
+                raise _Done
 
-    def rec(i: int, left: int, mask: int, cover: int, tight: int) -> bool:
+    def rec(i: int, left: int, mask: int, cover: int, tight: int, nodes: int) -> int:
         # counts and tests both children of a node at vertex i with `left` picks
-        # to go, then walks on down the exclude child's line
-        nonlocal nodes
+        # to go, then walks on down the exclude child's line; returns the count
         need = least[left]
+        # the carry source: cover does not change along the line
+        up = cover << n | full
+        nodes += 1  # include vertex i; the parent's tests rule out a forced tail
         while True:
             bit, rep, nb, drop, rest, tail = steps[i]
-            nodes += 1  # include vertex i; the parent's tests rule out a forced tail
-            if nodes > check_at:
-                tick()
             # the carry chain: level t+1 gains level t's vertices in N[i], level 0 all of N[i]
-            grown = cover | (cover << n | full) & rep
+            grown = cover | up & rep
             # with no picks left, the deficit rule is the leaf test: every bit set
-            if grown.bit_count() >= need and (
-                emit(mask | bit) if left == 1 else rec(i + 1, left - 1, mask | bit, grown, tight)
-            ):
-                return True
+            if grown.bit_count() >= need:
+                if left == 1:
+                    emit(mask | bit, nodes)
+                else:
+                    nodes = rec(i + 1, left - 1, mask | bit, grown, tight, nodes)
             # the reach rule: excluding i leaves some N[w] short iff w has reach <= k
             if nb & tight:
-                return False
-            nodes += 1  # the parent's picks and deficit: no leaf and no deficit prune
-            if nodes > check_at:
-                tick()
+                return nodes
+            # the exclude child keeps the parent's picks and deficit: no leaf and
+            # no deficit prune, so it is counted with no test
             if left == tail:  # forced all-include tail; the reach rule makes it cover
-                return emit(mask | rest)
+                emit(mask | rest, nodes + 1)
+                return nodes + 1
             # excluding i moves N[i] down one reach level
             tight |= tight >> n & drop
             i += 1
+            nodes += 2  # exclude vertex i - 1, then include vertex i
+            if nodes > check_at:
+                tick(nodes)
 
     try:
         for size in range(max(k, -(-k * n // cn_max)), n + 1):
             if not pending:
                 break
             if time.monotonic() > deadline:
-                raise _OutOfBudget
+                raise _OutOfBudget(nodes)
             nodes += 1  # the root: a forced tail at size n, else it has children
-            if nodes > check_at:
-                tick()
-            if emit(full) if size == n else rec(0, size, 0, 0, tight):
-                break
-    except _OutOfBudget:
+            if size == n:
+                emit(full, nodes)
+            else:
+                nodes = rec(0, size, 0, 0, tight, nodes)
+    except _Done:
         pass
+    except _OutOfBudget as stop:
+        (nodes,) = stop.args
     finally:
         del rec  # rec's cell holds rec: drop the cycle so the search state dies here
     unresolved = SolveResult(None, None, nodes, True)
@@ -374,9 +402,10 @@ def _cut_balanced(graph: Graph, signatures: Sequence[SignedGraph]) -> Callable[[
     n = graph.n
     negs = dict.fromkeys(graph.edges, 0)
     for i, s in enumerate(signatures):
+        bit = 1 << i
         for e, sign in s.signs.items():
             if sign < 0:
-                negs[e] |= 1 << i
+                negs[e] |= bit
     edata = [(a, b, 1 << a, 1 << b, negs[a, b]) for a, b in graph.edges]
 
     def accept(mask: int, pending: int) -> int:

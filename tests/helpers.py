@@ -87,6 +87,99 @@ def brute_min_k_tuple(n, edges, k):
     return None
 
 
+def bfs_cut_balanced(n, edges, signs, members):
+    """Balance of the cut [members : V - members] by BFS two-colouring:
+    a negative edge joins two colours, a positive edge one.  Unlike
+    brute_cut_balanced it enumerates no cycles, so dense graphs on ten
+    vertices stay cheap."""
+    adj = {v: [] for v in range(n)}
+    for a, b in brute_cut_edges(edges, members):
+        adj[a].append((b, signs[a, b] < 0))
+        adj[b].append((a, signs[a, b] < 0))
+    colour = {}
+    for start in range(n):
+        if start in colour:
+            continue
+        colour[start] = False
+        queue = [start]
+        for u in queue:
+            for w, flip in adj[u]:
+                if w not in colour:
+                    colour[w] = colour[u] != flip
+                    queue.append(w)
+                elif colour[w] != (colour[u] != flip):
+                    return False
+    return True
+
+
+def reference_search(n, edges, k, accept):
+    """(value, witness, nodes_explored) of the exact search, or None if infeasible.
+
+    Restates the search that the solvers share, on plain sets with one
+    recursion per child.  Sizes ascend from max(k, ceil(k*n / max|N[v]|)).
+    At each size, vertices are decided in index order, include child first,
+    and a node is counted when its parent makes it; the root of each size is
+    counted too.  An include child is always counted; it lives on when the
+    deficit, the sum of max(0, k - |N[v] ∩ D|), can still be met by the picks
+    after it, each covering at most max|N[v]| (the deficit rule, written
+    with `least`).  An exclude child is counted only when every N[w] keeps
+    at least k members included or undecided (the reach rule).  An exclude
+    child whose picks must take every vertex after it is a forced tail: a
+    candidate with no children, and so is the root at size n.  `accept`
+    gets each candidate's member set in that order; the first it accepts is
+    the answer, with the node count at that moment.
+    """
+    nbhd = closed_neighborhoods(n, edges)
+    if any(len(nbhd[v]) < k for v in range(n)):
+        return None
+    if n == 0:
+        return 0, (), 0
+    cn_max = max(len(c) for c in nbhd.values())
+    nodes = 0
+    found = []
+
+    def covered(chosen):
+        return sum(min(k, len(nbhd[v] & chosen)) for v in range(n))
+
+    def candidate(chosen):
+        # the leaf test and the reach rule leave only covering candidates
+        assert covered(chosen) == k * n
+        if not accept(chosen):
+            return False
+        found.append((len(chosen), tuple(sorted(chosen)), nodes))
+        return True
+
+    def node(i, picks, chosen, dropped):
+        # vertex i is undecided, picks > 0 members are still to choose, and
+        # fewer than the n - i vertices left, so the node has two children
+        return include(i, picks, chosen | {i}, dropped) or exclude(i, picks, chosen, dropped | {i})
+
+    def include(i, picks, chosen, dropped):
+        nonlocal nodes
+        nodes += 1
+        least = k * n - (picks - 1) * cn_max
+        if covered(chosen) < least:
+            return False
+        if picks == 1:
+            return candidate(chosen)
+        return node(i + 1, picks - 1, chosen, dropped)
+
+    def exclude(i, picks, chosen, dropped):
+        nonlocal nodes
+        if any(len(nbhd[w] - dropped) < k for w in range(n)):
+            return False
+        nodes += 1
+        if picks == n - i - 1:
+            return candidate(chosen | set(range(i + 1, n)))
+        return node(i + 1, picks, chosen, dropped)
+
+    for size in range(max(k, -(-k * n // cn_max)), n + 1):
+        nodes += 1
+        if candidate(set(range(n))) if size == n else node(0, size, set(), set()):
+            return found[0]
+    raise AssertionError("the whole vertex set is always a candidate")
+
+
 def brute_min_signed_dds(n, edges, signs, k=2):
     adj = closed_neighborhoods(n, edges)
     if any(len(adj[v]) < k for v in range(n)):

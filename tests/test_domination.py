@@ -498,6 +498,58 @@ def test_node_budget_of_the_full_count_is_exact(data, k, count, pick):
         ]
 
 
+def _budget_graphs():
+    named = [("P(5,2)", petersen(5, 2).graph), ("P(7,2)", petersen(7, 2).graph),
+             ("K4U(2)", FamilyInfo("K4U", (2,)).graph)]
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = rng.randint(4, 10)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        named.append((f"random-{seed}", Graph(n, rng.sample(pairs, rng.randint(n, len(pairs))))))
+    return [pytest.param(g, id=name) for name, g in named]
+
+
+@pytest.mark.parametrize("g", _budget_graphs())
+def test_every_node_budget_is_exact(g):
+    # for every budget b up to one past the unbudgeted count N, the answers
+    # found within b nodes stand and the rest stop at node b + 1
+    rng = random.Random(0)
+    sigs = [SignedGraph(g, {e: rng.choice((1, -1)) for e in g.edges}) for _ in range(3)]
+    for k in range(1, 4):
+        if any(len(nbrs) + 1 < k for nbrs in g.adj):
+            continue
+        for solve in (
+            lambda budget: [min_k_tuple_dominating(g, k, budget)],
+            lambda budget: min_signed_dds_many(g, sigs, k, budget),
+        ):
+            full = solve(None)
+            spent = max(r.nodes_explored for r in full)
+            for b in range(spent + 2):
+                assert solve(Budget(max_nodes=b)) == [
+                    r if r.nodes_explored <= b else SolveResult(None, None, b + 1, True)
+                    for r in full
+                ], (k, b)
+
+
+@settings(max_examples=200)
+@given(helpers.signed_edge_data(min_n=0, max_n=10), st.integers(1, 3))
+def test_search_matches_the_reference_node_for_node(data, k):
+    n, edges, signs = data
+    s = SignedGraph(Graph(n, edges), signs)
+    for solve, accept in (
+        (lambda: min_k_tuple_dominating(s.graph, k), lambda members: True),
+        (lambda: min_signed_dds(s, k), lambda members: helpers.bfs_cut_balanced(n, edges, signs, members)),
+    ):
+        expected = helpers.reference_search(n, edges, k, accept)
+        if expected is None:
+            with pytest.raises(InfeasibleError):
+                solve()
+            continue
+        r = solve()
+        assert (r.value, tuple(sorted(r.witness)), r.nodes_explored) == expected
+        assert not r.limits_hit
+
+
 @given(helpers.graphs(min_n=1, max_n=8), st.integers(1, 70), st.data())
 def test_batch_acceptor_matches_bfs_balance_of_each_cut(data, count, pick):
     n, edges = data
