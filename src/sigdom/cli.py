@@ -13,6 +13,8 @@ import functools
 import hashlib
 import io
 import json
+import os
+import stat
 import sys
 import time
 from math import gcd
@@ -60,10 +62,17 @@ EXIT_BUDGET = 3
 
 
 def _write_out(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    # overwrite in place, then trim: O_TRUNC would free the old blocks only to
+    # allocate new ones.  Path names the file in an error as open does ('d/'
+    # as 'd'); a device such as /dev/null cannot be trimmed and is not.
+    fd = os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
 
 
 def _load(args, path: str) -> str:
@@ -408,7 +417,17 @@ def main(argv: list[str] | None = None) -> int:
     (so calls must not run concurrently), which `main` writes, or with --json
     only the report, when it returns, and drops on a usage error (exit 2).
     """
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in commands:
+        # what parse_args does with a leading subcommand, minus its top-level pass
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
+    else:
+        args = parser.parse_args(argv)
     args.inputs, args.report_seed = {}, None
     started = time.perf_counter()
     try:

@@ -64,11 +64,13 @@ class Budget:
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_nodes is not None and self.max_nodes < 0:
-            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
-        # written so that NaN, which compares false, is refused too
-        if self.max_seconds is not None and not self.max_seconds >= 0:
-            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
+        # the type test comes first, so a non-number is refused before it is
+        # compared; `not x >= 0` refuses NaN, which compares false
+        nodes, seconds = self.max_nodes, self.max_seconds
+        if nodes is not None and not (isinstance(nodes, int) and nodes >= 0):
+            raise ValueError(f"max_nodes must be an int >= 0, got {nodes!r}")
+        if seconds is not None and not (isinstance(seconds, (int, float)) and seconds >= 0):
+            raise ValueError(f"max_seconds must be a number >= 0, got {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,7 @@ def _solve(
         if nodes > max_nodes:
             # checks may lag the count by one path of includes: report the first
             # node past the budget
-            raise _OutOfBudget(math.floor(max_nodes) + 1)
+            raise _OutOfBudget(max_nodes + 1)
         if time.monotonic() > deadline:
             raise _OutOfBudget(nodes)
         check_at = min(max_nodes, nodes | 2047)

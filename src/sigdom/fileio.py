@@ -54,23 +54,16 @@ def _scan(text: str) -> tuple[FamilyInfo | None, list[tuple[int, list[str]]]]:
     return family, rows
 
 
-def _ints(tokens: list[str], ln: int, what: str) -> list[int]:
-    # the family header's rule: int() alone would also take "1_0" and "+1"
-    ints = [int(t) for t in tokens if t.isdecimal()]
-    if len(ints) != len(tokens):
-        raise EdgeListFormatError(f"line {ln}: expected {what}")
-    return ints
-
-
 def _header_counts(
     family: FamilyInfo | None, rows: list[tuple[int, list[str]]]
 ) -> tuple[int, int]:
     if not rows:
         raise EdgeListFormatError("line 1: missing 'n m' header")
     ln, tokens = rows[0]
-    if len(tokens) != 2:
+    # the family header's rule: int() alone would also take "1_0" and "+1"
+    if len(tokens) != 2 or not (tokens[0].isdecimal() and tokens[1].isdecimal()):
         raise EdgeListFormatError(f"line {ln}: expected 'n m'")
-    n, m = _ints(tokens, ln, "'n m'")
+    n, m = int(tokens[0]), int(tokens[1])
     if n > MAX_VERTICES:
         raise EdgeListFormatError(f"line {ln}: n={n} is above the {MAX_VERTICES}-vertex ceiling")
     if len(rows) - 1 != m:
@@ -97,7 +90,10 @@ def _read(text: str, signed: bool) -> tuple[Graph, dict[Edge, int], FamilyInfo |
             raise EdgeListFormatError(
                 f"line {ln}: expected {what}" + (" with s in {+,-}" if signed else "")
             )
-        a, b = _ints(tokens[:2], ln, what)
+        a, b = tokens[0], tokens[1]
+        if not (a.isdecimal() and b.isdecimal()):
+            raise EdgeListFormatError(f"line {ln}: expected {what}")
+        a, b = int(a), int(b)
         if a == b:
             raise EdgeListFormatError(f"line {ln}: self-loop at vertex {a}")
         if not (0 <= a < n and 0 <= b < n):
@@ -141,7 +137,8 @@ def write_edge_list(graph: Graph, family: FamilyInfo | None = None) -> str:
 
 def read_signed_edge_list(text: str) -> tuple[SignedGraph, FamilyInfo | None]:
     graph, signs, family = _read(text, True)
-    return SignedGraph(graph, signs), family
+    # _read's signs are canonical, total, +1/-1 and conflict-free on graph.edges
+    return SignedGraph._trusted(graph, signs), family
 
 
 def write_signed_edge_list(signed: SignedGraph, family: FamilyInfo | None = None) -> str:

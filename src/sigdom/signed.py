@@ -45,8 +45,8 @@ class SignedGraph:
 
     @classmethod
     def _trusted(cls, graph: Graph, table: dict[Edge, int]) -> SignedGraph:
-        # skips __init__'s checks: only for tables this module builds from
-        # graph.edges, which are canonical, total and +1/-1 by construction
+        # skips __init__'s checks: only for tables built from graph.edges (here)
+        # or checked as they were read (fileio._read), so canonical, total and +1/-1
         s = cls.__new__(cls)
         s.graph = graph
         s.signs = table

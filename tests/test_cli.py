@@ -350,6 +350,52 @@ def test_refused_command_leaves_nothing_on_stdout(argv, tmp_path, cube_file, cap
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("old_size", [3, 5000], ids=["shorter", "longer"])
+@pytest.mark.parametrize("command", ["gen", "sign", "switch"])
+def test_output_rewrites_an_existing_file_to_the_printed_bytes(
+    command, old_size, tmp_path, cube_file, cube_random, capsys
+):
+    argv = {
+        "gen": ["gen", "P", "4", "1"],
+        "sign": ["sign", str(cube_file), "--random", "0.5", "--seed", "1"],
+        "switch": ["switch", str(cube_random), "--set", "u0,v1"],
+    }[command]
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    printed = printed.removeprefix("seed: 1\n")  # sign prints its seed to stdout alone
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * old_size)
+    assert run(capsys, *argv, "-o", str(out)) == (0, "seed: 1\n" if command == "sign" else "", "")
+    assert out.read_bytes() == printed.encode()
+
+
+def test_output_to_a_device_is_not_trimmed(capsys):
+    assert run(capsys, "gen", "P", "5", "2", "-o", os.devnull) == (0, "", "")
+
+
+def test_output_creates_a_file_with_open_s_mode(tmp_path, capsys):
+    umask = os.umask(0o002)
+    try:
+        assert run(capsys, "gen", "P", "5", "2", "-o", str(tmp_path / "new.edges"))[0] == 0
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "new.edges").stat().st_mode & 0o777 == 0o666 & ~0o002
+
+
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        ("", "[Errno 21] Is a directory: 'DIR'"),
+        ("/", "[Errno 21] Is a directory: 'DIR'"),  # named as open names it, without the slash
+        ("/missing/x.edges", "[Errno 2] No such file or directory: 'DIR/missing/x.edges'"),
+    ],
+    ids=["directory", "directory-slash", "missing-directory"],
+)
+def test_output_that_cannot_be_opened_is_one_error_line(target, message, tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "P", "5", "2", "-o", f"{tmp_path}{target}")
+    assert (code, out, err) == (2, "", f"error: {message.replace('DIR', str(tmp_path))}\n")
+
+
 # --------------------------------------------------------------- balance
 
 
@@ -897,3 +943,26 @@ def test_parser_is_built_on_first_main_call_not_at_import():
     ).returncode
     assert code == 0
     assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["gen", "-h"],
+        ["gen", "P", "5", "2", "--bogus"],
+        ["--json", "gen", "P", "5", "2"],
+        ["ge", "P", "5", "2"],
+        ["gen", "P", "x"],
+        ["solve"],
+        ["sweep", "--n", "5", "extra"],
+    ],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_dispatch_exits_as_parse_args_does(argv, capsys):
+    # main hands argv after a subcommand name to that subcommand's parser alone
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert run(capsys, *argv) == (exc.value.code, want.out, want.err)

@@ -660,7 +660,17 @@ def test_solves_leave_no_cyclic_garbage():
 
 
 @pytest.mark.parametrize(
-    "fields", [{"max_nodes": -1}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}]
+    "fields",
+    [
+        {"max_nodes": -1},
+        {"max_seconds": -1.0},
+        {"max_seconds": float("nan")},
+        # a non-number, or a max_nodes that is no int: NaN nodes would never stop the search
+        {"max_nodes": "5"},
+        {"max_seconds": "1"},
+        {"max_nodes": 5.5},
+        {"max_nodes": float("nan")},
+    ],
 )
 def test_budget_rejects_negative_or_nan_limits(fields):
     with pytest.raises(ValueError):

@@ -39,6 +39,8 @@ def test_signed_round_trip(data):
     back, fam = read_signed_edge_list(write_signed_edge_list(s))
     assert back == s
     assert fam is None
+    # the reader skips SignedGraph's checks; the checking constructor accepts its result
+    assert SignedGraph(back.graph, back.signs) == back
 
 
 def test_family_header_round_trip():
@@ -59,6 +61,7 @@ def test_signed_family_round_trip():
     back, got = read_signed_edge_list(write_signed_edge_list(s, info))
     assert back == s
     assert got == info
+    assert SignedGraph(back.graph, back.signs) == back
 
 
 def _scrambled(text, seed):
@@ -83,6 +86,7 @@ def test_headed_read_takes_edges_in_any_order_and_repeated(fam):
     # signed is over fam.graph, so this also compares the graphs
     assert back == signed
     assert got == fam
+    assert SignedGraph(back.graph, back.signs) == back
 
 
 # ------------------------------------------------------------ tolerant input
@@ -168,6 +172,7 @@ def test_duplicate_edge_same_sign_collapses():
     s, _ = read_signed_edge_list("3 2\n0 1 -\n1 0 -\n")
     assert s.graph.edges == ((0, 1),)
     assert s.sign(0, 1) == -1
+    assert SignedGraph(s.graph, s.signs) == s
 
 
 def test_error_messages_carry_line_numbers():
