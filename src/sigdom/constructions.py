@@ -8,7 +8,7 @@ signature, and its size bounds the signed double domination number from above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd
 
 from .families import InvalidParametersError, inner_blocks, validate_params
@@ -27,7 +27,7 @@ def _even_pairs(n: int) -> set[int]:
     return {w for i in range(n // 2) for w in (2 * i, n + 2 * i)}
 
 
-def _pn1(n: int) -> ConstructionResult:
+def _pn1(n: int) -> tuple[set[int], int, str]:
     """Size 2(floor(n/2)+1) set for P(n, 1): every even u/v pair plus a tail pair.
 
     Odd n = 2m+1 >= 3 finishes with {u_{2m-1}, u_{2m}}; even n = 2m with
@@ -41,9 +41,7 @@ def _pn1(n: int) -> ConstructionResult:
     else:
         members.update((2 * m - 1, n + 2 * m - 1))
         tag = "P_even_1"
-    size = 2 * m + 2
-    assert len(members) == size
-    return ConstructionResult(frozenset(members), size, tag, True)
+    return members, 2 * m + 2, tag
 
 
 def construct_pn1_tight(n: int) -> ConstructionResult:
@@ -58,7 +56,7 @@ def construct_pn1_tight(n: int) -> ConstructionResult:
     return ConstructionResult(frozenset(_even_pairs(n)), n, "P_even_1_tight", False)
 
 
-def _gcd1(n: int, k: int) -> ConstructionResult:
+def _gcd1(n: int, k: int) -> tuple[set[int], int, str]:
     """All outer vertices plus every second inner block, for gcd(n, k) = 1 < k, 2k < n.
 
     With t = ceil(n/k) blocks the selected blocks are V_2, V_4, ..., V_{2*(t//2)};
@@ -71,14 +69,11 @@ def _gcd1(n: int, k: int) -> ConstructionResult:
     for bi in range(1, 2 * m, 2):
         members |= blocks[bi]
     if t % 2:
-        size, tag = n + m * k, "gcd1_odd"
-    else:
-        size, tag = 2 * n - m * k, "gcd1_even"
-    assert len(members) == size
-    return ConstructionResult(frozenset(members), size, tag, True)
+        return members, n + m * k, "gcd1_odd"
+    return members, 2 * n - m * k, "gcd1_even"
 
 
-def _gcd_d(n: int, k: int, d: int) -> ConstructionResult:
+def _gcd_d(n: int, k: int, d: int) -> tuple[set[int], int, str]:
     """All outer vertices plus every third vertex along each inner cycle.
 
     For d = gcd(n, k) >= 2 and 2k < n the inner rim splits into d cycles of
@@ -90,9 +85,7 @@ def _gcd_d(n: int, k: int, d: int) -> ConstructionResult:
     for r in range(d):
         for t in range(cnt):
             members.add(n + (r + 3 * t * k) % n)
-    size = n + d * cnt
-    assert len(members) == size
-    return ConstructionResult(frozenset(members), size, "gcd_d", True)
+    return members, n + d * cnt, "gcd_d"
 
 
 def construct_family(n: int, j: int, k: int) -> ConstructionResult:
@@ -105,10 +98,12 @@ def construct_family(n: int, j: int, k: int) -> ConstructionResult:
     always break it.
     """
     validate_params(n, j, k)
-    if k == 1:  # so j == 1 too
-        return _pn1(n)
     d = gcd(n, k)
-    result = _gcd1(n, k) if d == 1 else _gcd_d(n, k, d)
-    if j == 1:
-        return result
-    return replace(result, case_tag="igraph_gcd1" if d == 1 else "igraph_gcd_d")
+    if k == 1:  # so j == 1 too
+        members, size, tag = _pn1(n)
+    else:
+        members, size, tag = _gcd1(n, k) if d == 1 else _gcd_d(n, k, d)
+    if j > 1:
+        tag = "igraph_gcd1" if d == 1 else "igraph_gcd_d"
+    assert len(members) == size
+    return ConstructionResult(frozenset(members), size, tag, True)

@@ -202,18 +202,17 @@ def analyze_half_dds(g: Graph, members: Iterable[int]) -> HalfDdsReport:
     return HalfDdsReport(True, degs, cycle_decomposition(cut))
 
 
-class _OutOfBudget(Exception):
-    """Ends the search at a budget; its one argument is the node count to report."""
-
-
-class _Done(Exception):
-    """Ends the search once every acceptance test has its answer."""
+class _Stop(Exception):
+    """Ends the search; its one argument is the node count to report."""
 
 
 # rec in _solve recurses once per included vertex, and a size level can
 # include up to n - 1 of them, so a graph this large must be refused before
 # the search starts: well above it Python's recursion limit (1000 by
-# default) turns the search into a RecursionError traceback.
+# default) turns the search into a RecursionError traceback.  The ceiling
+# also bounds the set-up: on a cubic graph with k = 2, `steps` holds about
+# 5n bits per vertex (rep, drop and rest), 5n^2/8 bytes in all, which is
+# 160 KB at n = 512 but about 6.25 GB at families.MAX_VERTICES (100,000).
 _MAX_SEARCH_VERTICES = 512
 
 
@@ -251,11 +250,12 @@ def _solve(
     of vertex i-1 and the include child of vertex i are counted in one step
     of two; an exclude child that is a forced tail (every vertex left must
     be included) is counted alone.  The budget is checked at each step of
-    two and before each acceptance test, not where a root or a call's first
-    include child is counted.  So the count can pass `max_nodes` by at most
-    one path of includes before the search stops, no answer is taken past
-    it, and a search stopped by `max_nodes` reports the first node past it,
-    max_nodes + 1, as though it had stopped there.
+    two, before each acceptance test and at the start of each size, not
+    where a root or a call's first include child is counted.  So the count
+    can pass `max_nodes` by at most one path of includes before the search
+    stops, no answer is taken past it, and a search stopped by `max_nodes`
+    reports the first node past it, max_nodes + 1, as though it had stopped
+    there.
 
     One search serves `count` acceptance tests: `accept(mask, pending)`
     gets each coverage-passing mask and the bitmask of the tests still
@@ -280,7 +280,7 @@ def _solve(
     for v, c in enumerate(cn):
         if len(c) < k:
             raise InfeasibleError(f"vertex {v} has closed neighborhood smaller than k={k}")
-    if n == 0:
+    if n == 0 or not count:
         return [SolveResult(0, frozenset(), 0, False)] * count
     cn_max = max(len(c) for c in cn)
     full = (1 << n) - 1
@@ -308,14 +308,14 @@ def _solve(
     nodes = 0
 
     def tick(nodes: int) -> None:
-        # nodes passed check_at: past the node budget, or every 2048 nodes the clock
+        # at each size and past check_at: the node budget, and every 2048 nodes the clock
         nonlocal check_at
         if nodes > max_nodes:
             # checks may lag the count by one path of includes: report the first
             # node past the budget
-            raise _OutOfBudget(max_nodes + 1)
+            raise _Stop(max_nodes + 1)
         if time.monotonic() > deadline:
-            raise _OutOfBudget(nodes)
+            raise _Stop(nodes)
         check_at = min(max_nodes, nodes | 2047)
 
     def emit(mask: int, nodes: int) -> None:
@@ -327,8 +327,8 @@ def _solve(
             pending ^= accepted
             result = SolveResult(size, frozenset(v for v in range(n) if mask >> v & 1), nodes, False)
             results[:] = [result if accepted >> i & 1 else r for i, r in enumerate(results)]
-            if not pending:
-                raise _Done
+            if not pending:  # every answer is recorded
+                raise _Stop(nodes)
 
     def rec(i: int, left: int, mask: int, cover: int, tight: int, nodes: int) -> int:
         # counts and tests both children of a node at vertex i with `left` picks
@@ -364,18 +364,13 @@ def _solve(
 
     try:
         for size in range(max(k, -(-k * n // cn_max)), n + 1):
-            if not pending:
-                break
-            if time.monotonic() > deadline:
-                raise _OutOfBudget(nodes)
+            tick(nodes)
             nodes += 1  # the root: a forced tail at size n, else it has children
             if size == n:
                 emit(full, nodes)
             else:
                 nodes = rec(0, size, 0, 0, tight, nodes)
-    except _Done:
-        pass
-    except _OutOfBudget as stop:
+    except _Stop as stop:
         (nodes,) = stop.args
     finally:
         del rec  # rec's cell holds rec: drop the cycle so the search state dies here

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -577,6 +578,17 @@ def test_batch_solver_count_edges():
     assert min_signed_dds_many(empty, [all_positive(empty)] * 3) == [
         SolveResult(0, frozenset(), 0, False)
     ] * 3
+    # an empty batch still gets every check of its input
+    refusals = [
+        (PETERSEN, {"k": 0}, ValueError, "k must be positive, got 0"),
+        (PETERSEN, {"max_vertices": -1}, ValueError, "max_vertices must be >= 0, got -1"),
+        (petersen(13, 1).graph, {}, SizeLimitExceededError,
+         "26 vertices exceeds the solver cap of 24"),
+        (Graph(1), {"k": 2}, InfeasibleError, "vertex 0 has closed neighborhood smaller than k=2"),
+    ]
+    for graph, kwargs, error, message in refusals:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            min_signed_dds_many(graph, [], **kwargs)
 
 
 def test_batch_solver_rejects_foreign_signature():
