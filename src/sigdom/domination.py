@@ -116,22 +116,44 @@ def is_signed_dds(s: SignedGraph, members: Iterable[int], k: int = 2) -> DdsVerd
     """Signed double domination check: coverage first, then balance of the cut.
 
     The second condition restricts the signature to the cut [D : V-D] (same
-    vertex index space) and requires it to be balanced.  A parity union-find
-    over D's cut edges decides it; a balanced cut returns at once, with no
-    certificate built.  A rejected cut is certified by that definition:
-    `is_balanced` on the cut subgraph and its signs gives the negative cycle.
+    vertex index space) and requires it to be balanced.  Balance is a
+    condition on cycles only, so a cut that is a forest is balanced under
+    every signature (Harary 1953): it is accepted first, with no sign read.
+    Otherwise a parity union-find over D's cut edges decides it; a balanced
+    cut returns at once, with no certificate built.  A rejected cut is
+    certified by that definition: `is_balanced` on the cut subgraph and its
+    signs gives the negative cycle.
     """
     g = s.graph
     d = vertex_subset(g, members)
     verdict = _k_cover(g, d, k)
     if not verdict.ok:
         return verdict
-    if _cut_consistent(s, d):
+    if _cut_is_forest(g, d) or _cut_consistent(s, d):
         return DdsVerdict(True)
     cut = cut_subgraph(g, d)
     cert = is_balanced(SignedGraph(cut, {e: s.signs[e] for e in cut.edges}))
     assert not cert.balanced, "union-find and BFS disagree on the cut"
     return DdsVerdict(False, "unbalanced_cut", witness_cycle=cert.witness_cycle)
+
+
+def _cut_is_forest(g: Graph, d: frozenset[int]) -> bool:
+    # _cut_consistent's walk with no parities and no signs: a union-find over
+    # the cut edges of d that returns at the first one closing a cycle
+    adj = g.adj
+    root = list(range(g.n))
+    for u in d:
+        for w in adj[u]:
+            if w in d:
+                continue
+            b = w
+            while root[b] != b:
+                root[b] = root[root[b]]  # path halving
+                b = root[b]
+            if b == u:
+                return False
+            root[b] = u
+    return True
 
 
 def _cut_consistent(s: SignedGraph, d: frozenset[int]) -> bool:
@@ -193,7 +215,7 @@ def analyze_half_dds(g: Graph, members: Iterable[int]) -> HalfDdsReport:
     d = vertex_subset(g, members)
     if len(d) != half:  # cubic graphs have even order
         raise WrongCardinalityError(f"expected |D| = {half}, got {len(d)}")
-    verdict = is_k_tuple_dominating(g, d, 2)
+    verdict = _k_cover(g, d, 2)
     cut = cut_subgraph(g, d)
     degs = cut.degrees()
     if not verdict.ok:

@@ -20,11 +20,13 @@ from sigdom import (
     WrongCardinalityError,
     all_positive,
     analyze_half_dds,
+    construct_family,
     cubic_lower_bound,
     cut_subgraph,
     cycle_sign,
     igraph,
     is_balanced,
+    is_forest,
     is_k_tuple_dominating,
     is_signed_dds,
     min_k_tuple_dominating,
@@ -33,12 +35,16 @@ from sigdom import (
     petersen,
     random_signature,
 )
-from sigdom.domination import _cut_balanced
+from sigdom.domination import _cut_balanced, _cut_is_forest
 from sigdom.families import family_cases
 
 CUBE = Graph(8, helpers.petersen_edges(4, 1))
 PETERSEN = Graph(10, helpers.petersen_edges(5, 2))
 W7 = Graph(7, helpers.W7_EDGES)
+# u0, u2, v0, v2: the cube's cut is both rim 4-cycles
+CUBE_RIMS = frozenset({0, 2, 4, 6})
+# the even vertices of the 512-cycle cut every one of its edges
+CYCLE_512 = Graph(512, [(v, v + 1) for v in range(511)] + [(0, 511)])
 
 
 def w7_signed():
@@ -147,6 +153,7 @@ def test_both_rim_cycles_negative_rejects_quarter_set():
     assert verdict.failure_kind == "unbalanced_cut"
     assert len(verdict.witness_cycle) == 4
     assert cycle_sign(s, verdict.witness_cycle) == -1
+    assert verdict.witness_cycle == _cut_subgraph_certificate(s, d).witness_cycle
 
 
 def test_any_signature_of_cube_lands_in_narrow_band():
@@ -254,13 +261,55 @@ def test_signed_dds_matches_cut_subgraph_route_at_desk_scale(njk, seed, p_neg, d
 def test_long_cut_cycle(negative):
     # the even vertices of a 512-cycle: every edge is a cut edge, so the
     # union-find joins one tree along the whole cycle before it closes
-    g = Graph(512, [(v, v + 1) for v in range(511)] + [(0, 511)])
+    g = CYCLE_512
     s = SignedGraph(g, {e: -1 if e == negative else 1 for e in g.edges})
     verdict = is_signed_dds(s, range(0, 512, 2), 1)
     cert = _cut_subgraph_certificate(s, range(0, 512, 2))
     assert verdict.ok == cert.balanced == (negative is None)
     assert verdict.witness_cycle == cert.witness_cycle
     assert verdict.witness_cycle == (None if negative is None else tuple(range(512)))
+
+
+def _assert_cut_routes_agree(g, members):
+    d = frozenset(members)
+    assert _cut_is_forest(g, d) == is_forest(cut_subgraph(g, d))
+
+
+@settings(max_examples=200)
+@given(helpers.signed_edge_data(min_n=1, max_n=8), st.data())
+def test_cut_is_forest_matches_cut_subgraph_route(data, pick):
+    n, edges, _ = data
+    members = pick.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    _assert_cut_routes_agree(Graph(n, edges), members)
+
+
+def test_cut_is_forest_matches_cut_subgraph_route_on_constructions():
+    for njk in DESK_CASES:
+        _assert_cut_routes_agree(igraph(*njk).graph, construct_family(*njk).dds)
+    _assert_cut_routes_agree(CUBE, CUBE_RIMS)
+    _assert_cut_routes_agree(CYCLE_512, range(0, 512, 2))
+    assert not _cut_is_forest(CUBE, CUBE_RIMS)
+    assert not _cut_is_forest(CYCLE_512, frozenset(range(0, 512, 2)))
+
+
+class _SignRead(Exception):
+    pass
+
+
+class _UnreadableSigns(dict):
+    def __getitem__(self, e):
+        raise _SignRead(e)
+
+
+def test_forest_cut_is_accepted_without_reading_a_sign():
+    for seed, njk in enumerate(DESK_CASES):
+        g = igraph(*njk).graph
+        s = SignedGraph._trusted(g, _UnreadableSigns(random_signature(g, seed).signs))
+        assert is_signed_dds(s, construct_family(*njk).dds).ok
+    # a cyclic cut falls back to the signs: the cube's two verdicts there are
+    # checked by test_both_rim_cycles_negative_rejects_quarter_set
+    with pytest.raises(_SignRead):
+        is_signed_dds(SignedGraph._trusted(CUBE, _UnreadableSigns(all_positive(CUBE).signs)), CUBE_RIMS)
 
 
 # ----------------------------------------------------------- lower bounds
